@@ -27,11 +27,10 @@ class ClassifierKind(Enum):
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Feature rows with object labels and a provenance tag per row."""
+    """Feature rows with one object label per row."""
 
     rows: np.ndarray
     labels: tuple[str, ...]
-    provenance: tuple[str, ...]
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float32)
@@ -39,13 +38,10 @@ class FeatureMatrix:
             raise ValueError("rows must be a 2-D array")
         if rows.shape[0] != len(self.labels):
             raise ValueError("one label per row required")
-        if rows.shape[0] != len(self.provenance):
-            raise ValueError("one provenance tag per row required")
         if rows.size and (rows.min() < 0 or rows.max() > 1):
             raise ValueError("feature values must lie in [0, 1]")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "provenance", tuple(self.provenance))
 
     @property
     def dim(self) -> int:
@@ -69,13 +65,6 @@ def featurize(image: TactileImage, target_height: int = DEFAULT_FEATURE_HEIGHT) 
     return (image.pixels[rows].astype(np.float32) / np.float32(255.0)).reshape(-1)
 
 
-def build_features(images, labels, provenance) -> FeatureMatrix:
-    if isinstance(provenance, str):
-        provenance = [provenance] * len(labels)
-    return FeatureMatrix(rows=np.stack(images), labels=tuple(labels),
-                         provenance=tuple(provenance))
-
-
 def split(features: FeatureMatrix, train_fraction: float, seed: int
           ) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Stratified train/test split, floor(train_fraction * n) per class with
@@ -89,7 +78,6 @@ def split(features: FeatureMatrix, train_fraction: float, seed: int
         return FeatureMatrix(
             rows=features.rows[idx],
             labels=tuple(features.labels[i] for i in idx),
-            provenance=tuple(features.provenance[i] for i in idx),
         )
 
     return take(train_idx), take(test_idx)
@@ -98,7 +86,7 @@ def split(features: FeatureMatrix, train_fraction: float, seed: int
 def split_indices(labels, train_fraction: float, seed: int
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Row indices of the stratified split; reusable across feature variants
-    so that raw and compressed provenances share the exact same split."""
+    so that raw and compressed features share the exact same split."""
     labels = list(labels)
     rng = np.random.Generator(np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF))
     train, test = [], []

@@ -42,6 +42,7 @@ import io
 import math
 import os
 import tempfile
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,13 +58,14 @@ from .analysis import (
     accuracy,
     featurize,
     predict,
-    split_indices,
+    split,
     train_classifier,
 )
-from .errors import CodecIntegrityError, FormatError
+from .errors import CodecIntegrityError, CodecUnavailableError, FormatError
 from .imaging import DEFAULT_TILE_HEIGHT, TactileImage, tile_ranges, trace_to_image
 from .layout import GraspPose
 from .metrics import (
+    MSSSIM_WINDOW,
     QualityMetric,
     RDCurve,
     RDPoint,
@@ -77,8 +79,6 @@ from .metrics import (
 from .simulate import OBJECT_NAMES, PhasePlan, default_profiles, generate_trace
 from .trace import GraspTrace, load_trace
 
-NATIVE_LOSSLESS = native.CODEC_ID_LOSSLESS
-NATIVE_LOSSY = native.CODEC_ID_LOSSY
 DEFAULT_LADDER = (2, 4, 8, 16, 32, 64)
 
 # Reference BD-rate results published for SCC-versus-intra coding on the
@@ -103,7 +103,7 @@ class BenchConfig:
         default_factory=lambda: PhasePlan(0.15, 0.10, 0.05, 0.50, 0.05)
     )
     ingest_directory: str = ""
-    codecs: tuple[str, ...] = (NATIVE_LOSSLESS,)
+    codecs: tuple[str, ...] = (native.CODEC_ID_LOSSLESS,)
     tile_height: int = DEFAULT_TILE_HEIGHT
     jobs: int = 0
     codec_specs_path: str = ""
@@ -113,7 +113,7 @@ class BenchConfig:
         ClassifierKind.KNN,
         ClassifierKind.SOFTMAX_REGRESSION,
     )
-    downstream_codec: str = NATIVE_LOSSY
+    downstream_codec: str = native.CODEC_ID_LOSSY
     downstream_qualities: tuple[int, ...] = (8, 64)
     feature_height: int = 16
     train_fraction: float = 0.7
@@ -171,11 +171,11 @@ def _split_list(raw: str) -> list[str]:
 
 
 def load_config(path) -> BenchConfig:
-    parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read:
-        raise FormatError(f"config file not found: {path}")
-    return config_from_parser(parser)
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError:
+        raise FormatError(f"config file not found: {path}") from None
+    return parse_config(text)
 
 
 def parse_config(text: str) -> BenchConfig:
@@ -319,60 +319,111 @@ class TraceResult:
         return bpss_of(self.bits, self.sub_samples)
 
 
-class CodecRunner:
-    """Uniform tile-by-tile interface over the native codec and adapters."""
+@dataclass(frozen=True)
+class CodecEntry:
+    """One runnable codec: its kind, its default quality ladder and its tile
+    coder ``code(tile, quality) -> (payload bits, reconstruction)``."""
 
-    def __init__(self, specs: dict[str, CodecSpec], tile_height: int,
-                 workdir=None, compute_msssim: bool = True):
-        self.specs = specs
-        self.tile_height = tile_height
-        self.workdir = workdir
-        self.compute_msssim = compute_msssim
+    kind: CodecKind
+    ladder: tuple[int, ...]
+    code: Callable[[TactileImage, int | None], tuple[int, TactileImage]]
 
-    def kind_of(self, codec_id: str) -> CodecKind:
-        if codec_id == NATIVE_LOSSLESS:
-            return CodecKind.LOSSLESS
-        if codec_id == NATIVE_LOSSY:
-            return CodecKind.LOSSY
-        if codec_id in self.specs:
-            return self.specs[codec_id].kind
-        raise ValueError(f"unknown codec id {codec_id!r}")
 
-    def is_native(self, codec_id: str) -> bool:
-        return codec_id in (NATIVE_LOSSLESS, NATIVE_LOSSY)
+def _tlc1_lossless(tile: TactileImage, _quality):
+    blob = native.encode_lossless(tile)
+    recon = native.decode_lossless(blob)
+    if recon != tile:
+        raise CodecIntegrityError("tlc1: lossless round trip mismatch")
+    return blob.payload_bits, recon
 
-    def _encode_tile(self, tile: TactileImage, codec_id: str, quality):
-        if codec_id == NATIVE_LOSSLESS:
-            blob = native.encode_lossless(tile)
-            recon = native.decode_lossless(blob)
-            if recon != tile:
-                raise CodecIntegrityError("tlc1: lossless round trip mismatch")
-            return blob.payload_bits, recon
-        if codec_id == NATIVE_LOSSY:
-            blob = native.encode_lossy(tile, quality)
-            return blob.payload_bits, native.decode_lossy(blob)
-        spec = self.specs[codec_id]
-        blob, recon = run_external(
-            spec, tile,
-            quality=quality if spec.kind is CodecKind.LOSSY else None,
-            workdir=self.workdir,
-        )
+
+def _tlc1_lossy(tile: TactileImage, quality):
+    blob = native.encode_lossy(tile, quality)
+    return blob.payload_bits, native.decode_lossy(blob)
+
+
+TLC1_CODECS = {
+    native.CODEC_ID_LOSSLESS: CodecEntry(CodecKind.LOSSLESS, (), _tlc1_lossless),
+    native.CODEC_ID_LOSSY: CodecEntry(CodecKind.LOSSY, DEFAULT_LADDER, _tlc1_lossy),
+}
+
+
+def _external_entry(spec: CodecSpec) -> CodecEntry:
+    lossy = spec.kind is CodecKind.LOSSY
+
+    def code(tile, quality):
+        blob, recon = run_external(spec, tile, quality=quality if lossy else None)
         return blob.payload_bits, recon
+
+    return CodecEntry(spec.kind, spec.quality_ladder, code)
+
+
+def _resolve_codecs(config: BenchConfig, codec_ids, want_kind: CodecKind | None = None
+                    ) -> tuple[dict[str, CodecEntry], list[ProbeResult]]:
+    """Resolve codec ids of ``want_kind`` (any kind when None) to a codec
+    table, in request order; external codecs that fail their probe are
+    returned as skipped instead."""
+    specs = {s.codec_id: s for s in load_codec_specs(config.codec_specs_path or None)}
+    table, skipped = {}, []
+    for cid in codec_ids:
+        entry = TLC1_CODECS.get(cid)
+        if entry is None and cid not in specs:
+            raise ValueError(f"codec {cid!r} not found in the codec spec file")
+        kind = entry.kind if entry else specs[cid].kind
+        if want_kind is not None and kind is not want_kind:
+            continue
+        if entry is None:
+            result = probe(specs[cid])
+            if not result.available:
+                skipped.append(result)
+                continue
+            entry = _external_entry(specs[cid])
+        table[cid] = entry
+    return table, skipped
+
+
+def _with_rows_above(tile: TactileImage, previous: TactileImage, rows: int) -> TactileImage:
+    return TactileImage(np.vstack([previous.pixels[-rows:], tile.pixels]))
+
+
+class CodecRunner:
+    """Codes traces tile by tile with the entries of a resolved codec table
+    and totals the payload bits and distortion of each trace.
+
+    With ``compute_msssim`` every tile's MS-SSIM is weighted by its sample
+    count.  A tail tile shorter than the MS-SSIM window is scored on the
+    trace's last ``MSSSIM_WINDOW`` rows, its reconstruction completed by the
+    end of the previous tile's; its weight stays its own sample count.
+    """
+
+    def __init__(self, codecs: dict[str, CodecEntry], tile_height: int,
+                 compute_msssim: bool = True):
+        self.codecs = codecs
+        self.tile_height = tile_height
+        self.compute_msssim = compute_msssim
 
     def run_trace(self, trace: GraspTrace, codec_id: str, quality,
                   keep_recon: bool = False) -> TraceResult:
+        code = self.codecs[codec_id].code
         bits = 0
         mse_sum = 0.0
         msssim_weighted = 0.0
         recon_tiles = []
+        previous = None  # (tile, recon) before the current one
         for start, stop in tile_ranges(trace.frame_count, self.tile_height):
             tile = trace_to_image(trace, (start, stop))
-            tile_bits, recon = self._encode_tile(tile, codec_id, quality)
+            tile_bits, recon = code(tile, quality)
             bits += tile_bits
             diff = tile.pixels.astype(np.float64) - recon.pixels.astype(np.float64)
             mse_sum += float((diff * diff).sum())
             if self.compute_msssim:
-                msssim_weighted += ms_ssim(tile, recon) * tile.sample_count
+                scored = (tile, recon)
+                missing = MSSSIM_WINDOW - tile.height
+                if missing > 0 and previous is not None:
+                    scored = (_with_rows_above(tile, previous[0], missing),
+                              _with_rows_above(recon, previous[1], missing))
+                msssim_weighted += ms_ssim(*scored) * tile.sample_count
+                previous = (tile, recon)
             if keep_recon:
                 recon_tiles.append(recon.pixels)
         recon_image = (
@@ -390,34 +441,6 @@ class CodecRunner:
             msssim_weighted=msssim_weighted,
             recon=recon_image,
         )
-
-
-def _resolve_codecs(config: BenchConfig, want_kind: CodecKind | None
-                    ) -> tuple[dict[str, CodecSpec], list[str], list[ProbeResult]]:
-    """Split requested codecs into runnable ids and skipped probe results."""
-    spec_path = config.codec_specs_path or None
-    all_specs = {s.codec_id: s for s in load_codec_specs(spec_path)}
-    runnable = []
-    skipped = []
-    specs = {}
-    for cid in config.codecs:
-        if cid in (NATIVE_LOSSLESS, NATIVE_LOSSY):
-            kind = CodecKind.LOSSLESS if cid == NATIVE_LOSSLESS else CodecKind.LOSSY
-            if want_kind is None or kind is want_kind:
-                runnable.append(cid)
-            continue
-        if cid not in all_specs:
-            raise ValueError(f"codec {cid!r} not found in the codec spec file")
-        spec = all_specs[cid]
-        if want_kind is not None and spec.kind is not want_kind:
-            continue
-        result = probe(spec)
-        if result.available:
-            runnable.append(cid)
-            specs[cid] = spec
-        else:
-            skipped.append(result)
-    return specs, runnable, skipped
 
 
 def _parallel_results(items, worker, jobs: int):
@@ -460,12 +483,12 @@ def run_lossless_suite(config: BenchConfig, corpus=None) -> BenchReport:
     corpus = corpus if corpus is not None else build_corpus(config)
     if not corpus:
         raise FormatError("empty corpus")
-    specs, runnable, skipped = _resolve_codecs(config, CodecKind.LOSSLESS)
-    if not runnable:
+    table, skipped = _resolve_codecs(config, config.codecs, CodecKind.LOSSLESS)
+    if not table:
         raise CodecIntegrityError("all requested lossless codecs are unavailable")
-    runner = CodecRunner(specs, config.tile_height, compute_msssim=False)
+    runner = CodecRunner(table, config.tile_height, compute_msssim=False)
 
-    items = [(trace, cid) for cid in runnable for trace in corpus]
+    items = [(trace, cid) for cid in table for trace in corpus]
     results = _parallel_results(
         items, lambda it: runner.run_trace(it[0], it[1], None), config.worker_count()
     )
@@ -498,15 +521,15 @@ def run_lossless_suite(config: BenchConfig, corpus=None) -> BenchReport:
     object_marginals = {
         (obj, cid): _mean(c["bpss"] for c in cells if c["object"] == obj and c["codec"] == cid)
         for obj in objects
-        for cid in runnable
+        for cid in table
     }
     pose_marginals = {
         (pose, cid): _mean(c["bpss"] for c in cells if c["pose"] == pose and c["codec"] == cid)
         for pose in poses
-        for cid in runnable
+        for cid in table
     }
     codec_marginals = {
-        cid: _mean(c["bpss"] for c in cells if c["codec"] == cid) for cid in runnable
+        cid: _mean(c["bpss"] for c in cells if c["codec"] == cid) for cid in table
     }
     return BenchReport(
         kind="lossless",
@@ -520,28 +543,23 @@ def run_lossless_suite(config: BenchConfig, corpus=None) -> BenchReport:
     )
 
 
-def _ladder_for(config: BenchConfig, codec_id: str, specs) -> tuple[int, ...]:
-    if codec_id in config.quality_ladders:
-        return tuple(config.quality_ladders[codec_id])
-    if codec_id == NATIVE_LOSSY:
-        return DEFAULT_LADDER
-    return tuple(specs[codec_id].quality_ladder)
-
-
 def run_lossy_suite(config: BenchConfig, corpus=None) -> BenchReport:
     """Sweep each lossy codec across its quality ladder and aggregate RD
     points over the corpus; compute BD-rate for every requested pair."""
     corpus = corpus if corpus is not None else build_corpus(config)
     if not corpus:
         raise FormatError("empty corpus")
-    specs, runnable, skipped = _resolve_codecs(config, CodecKind.LOSSY)
-    if not runnable:
+    rows = min(config.tile_height, *(t.frame_count for t in corpus))
+    if rows < MSSSIM_WINDOW:
+        raise FormatError(f"MS-SSIM needs tiles and traces of {MSSSIM_WINDOW} rows, not {rows}")
+    table, skipped = _resolve_codecs(config, config.codecs, CodecKind.LOSSY)
+    if not table:
         raise CodecIntegrityError("all requested lossy codecs are unavailable")
-    runner = CodecRunner(specs, config.tile_height, compute_msssim=True)
+    runner = CodecRunner(table, config.tile_height, compute_msssim=True)
 
     items = []
-    for cid in runnable:
-        for quality in _ladder_for(config, cid, specs):
+    for cid, entry in table.items():
+        for quality in config.quality_ladders.get(cid, entry.ladder):
             for trace in corpus:
                 items.append((trace, cid, quality))
     results = _parallel_results(
@@ -637,48 +655,38 @@ def run_downstream_suite(config: BenchConfig, corpus=None) -> BenchReport:
     corpus = corpus if corpus is not None else build_corpus(config)
     if not corpus:
         raise FormatError("empty corpus")
-    labels = [t.object_label for t in corpus]
-    train_idx, test_idx = split_indices(labels, config.train_fraction, config.split_seed)
+    labels = tuple(t.object_label for t in corpus)
+    cid = config.downstream_codec
+    table, skipped = _resolve_codecs(config, (cid,))
+    if skipped:
+        raise CodecUnavailableError(
+            f"downstream codec {cid}: {skipped[0].status.value} {skipped[0].detail}"
+        )
+    runner = CodecRunner(table, config.tile_height, compute_msssim=False)
 
-    runner = CodecRunner({}, config.tile_height, compute_msssim=False)
-    if not runner.is_native(config.downstream_codec):
-        specs, _, _ = _resolve_codecs(config, None)
-        runner = CodecRunner(specs, config.tile_height, compute_msssim=False)
-
-    variants = [("raw", None, 8.0, [trace_to_image(t) for t in corpus])]
-    for quality in sorted(config.downstream_qualities, reverse=False):
-        results = _parallel_results(
-            corpus,
-            lambda t: runner.run_trace(t, config.downstream_codec, quality, keep_recon=True),
-            config.worker_count(),
+    def accuracy_row(source, quality, rate, images):
+        features = FeatureMatrix(
+            rows=np.stack([featurize(img, config.feature_height) for img in images]),
+            labels=labels,
         )
-        mean_rate = _mean(r.bpss for r in results)
-        variants.append(
-            (f"{config.downstream_codec}@{quality}", quality, mean_rate,
-             [r.recon for r in results])
-        )
-
-    rows = []
-    for source, quality, rate, images in variants:
-        feats = np.stack([featurize(img, config.feature_height) for img in images])
-        matrix = FeatureMatrix(rows=feats, labels=tuple(labels),
-                               provenance=tuple([source] * len(labels)))
-        train = FeatureMatrix(
-            rows=matrix.rows[train_idx],
-            labels=tuple(labels[i] for i in train_idx),
-            provenance=tuple([source] * len(train_idx)),
-        )
-        test = FeatureMatrix(
-            rows=matrix.rows[test_idx],
-            labels=tuple(labels[i] for i in test_idx),
-            provenance=tuple([source] * len(test_idx)),
-        )
+        train, test = split(features, config.train_fraction, config.split_seed)
         row = {"source": source, "quality": "" if quality is None else quality,
                "bpss": rate}
         for kind in config.classifiers:
             clf = train_classifier(kind, train, seed=config.split_seed)
             row[kind.value] = accuracy(predict(clf, test.rows), test.labels)
-        rows.append(row)
+        return row
+
+    rows = [accuracy_row("raw", None, 8.0, [trace_to_image(t) for t in corpus])]
+    for quality in sorted(config.downstream_qualities):
+        results = _parallel_results(
+            corpus,
+            lambda t: runner.run_trace(t, cid, quality, keep_recon=True),
+            config.worker_count(),
+        )
+        rows.append(accuracy_row(f"{cid}@{quality}", quality,
+                                 _mean(r.bpss for r in results),
+                                 [r.recon for r in results]))
 
     rows.sort(key=lambda r: -r["bpss"])  # raw (8.0) first, then descending rate
     return BenchReport(

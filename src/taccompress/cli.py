@@ -1,9 +1,8 @@
 """Command-line surface.
 
 Subcommands: simulate, convert, compress, decompress, metrics, bdrate,
-bench-lossless, bench-lossy, bench-downstream, classify, cluster,
-probe-codecs.  Exit codes: 0 success, 1 usage error, 2 data error,
-3 codec error.
+probe-codecs, bench-lossless, bench-lossy, bench-downstream, cluster.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 codec error.
 """
 
 import argparse
@@ -14,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bench
-from .adapters import load_codec_specs, probe
+from .adapters import CodecKind, load_codec_specs, probe
 from .analysis import adjusted_rand_index, featurize, kmeans, tsne_2d
 from .codec import (
     decode,
@@ -72,6 +71,8 @@ def _load_image(path: Path):
 
 
 def _cmd_simulate(args):
+    # Not bench.build_corpus: that holds the whole corpus in memory, while
+    # this writes each trace as soon as it is generated.
     objects = args.objects.split(",") if args.objects != "all" else list(OBJECT_NAMES)
     poses = (
         [_pose_of(t) for t in args.poses.split(",")]
@@ -249,10 +250,10 @@ def _cmd_bench_lossless(args):
 
 def _cmd_bench_lossy(args):
     config = _bench_config(args)
-    if args.config is None and config.codecs == (bench.NATIVE_LOSSLESS,):
-        config = bench.BenchConfig(
-            **{**config.__dict__, "codecs": (bench.NATIVE_LOSSY,)}
-        )
+    if args.config is None:  # the default codecs are lossless: use TLC1's lossy one
+        lossy = tuple(cid for cid, entry in bench.TLC1_CODECS.items()
+                      if entry.kind is CodecKind.LOSSY)
+        config = bench.BenchConfig(**{**config.__dict__, "codecs": lossy})
     report = bench.run_lossy_suite(config)
     for path in bench.write_lossy_report(report, config.output_directory):
         print(path)
@@ -360,7 +361,6 @@ def build_parser() -> _Parser:
         ("bench-lossless", _cmd_bench_lossless),
         ("bench-lossy", _cmd_bench_lossy),
         ("bench-downstream", _cmd_bench_downstream),
-        ("classify", _cmd_bench_downstream),
     ):
         p = sub.add_parser(name, help=f"run the {name.replace('-', ' ')} suite")
         p.set_defaults(func=fn)

@@ -30,6 +30,7 @@ import numpy as np
 from . import rangecoder
 from .errors import CodecIntegrityError, FormatError
 from .imaging import TactileImage
+from .layout import AXIS_COUNT
 
 TLC1_MAGIC = b"TLC1"
 TLC1_VERSION = 1
@@ -177,6 +178,13 @@ def read_blob(source) -> CompressedBlob:
         raise FormatError(f"lossy qp {qp} out of range")
     if length == 0:
         raise FormatError("zero-length payload")
+    if channels != AXIS_COUNT:
+        raise FormatError(f"TLC1 blobs have {AXIS_COUNT} channels, not {channels}")
+    samples = width * height * channels
+    if not 0 < samples <= rangecoder.max_sample_count(length):
+        raise FormatError(
+            f"{width}x{height} image cannot be coded in a {length}-byte payload"
+        )
     payload = need(length, "payload")
     (checksum,) = struct.unpack("<I", need(4, "checksum"))
     return CompressedBlob(

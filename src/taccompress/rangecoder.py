@@ -34,10 +34,15 @@ past 0 or 255 the encoder re-canonicalizes the index to the smallest
 magnitude that still clamps to the same boundary, which makes re-encoding a
 decoded image reproduce it exactly.
 
-Everything here must stay bit-exact and allocation-free in the hot loop:
-the kernels are compiled with numba when available and run as plain Python
-otherwise (identical arithmetic, so identical bitstreams).
+Everything here must stay bit-exact and allocation-free in the hot loop.
+The encode and decode kernels share ``_predict`` (the MED predictor and the
+activity bucket), and the encoder's renormalization and flush share
+``_shift_low`` (byte output through the carry cache).  Kernels and helpers
+are compiled with numba when available and run as plain Python otherwise
+(identical arithmetic, so identical bitstreams).
 """
+
+import math
 
 import numpy as np
 
@@ -71,10 +76,62 @@ TREE9 = 512   # nodes 1..511 used
 # Probabilities never leave [31, 32737], so one coded bit costs at most
 # log2(32768/31) ~= 10.05 bits and 12x the raw size can never overflow.
 PAYLOAD_SLACK = 64
+# ... and at least log2(32768/32737); a sample codes at least 8 tree bits.
+MIN_SAMPLE_BITS = 8 * math.log2(PROB_ONE / (PROB_ONE - (1 << ADAPT_SHIFT) + 1))
 
 
 def payload_capacity(sample_count: int) -> int:
     return 12 * sample_count + PAYLOAD_SLACK
+
+
+def max_sample_count(payload_len: int) -> int:
+    """Most samples a payload of ``payload_len`` bytes can have coded: twice
+    the count that the minimum cost per sample (~0.0109 bits) allows."""
+    return int(2 * 8 * payload_len / MIN_SAMPLE_BITS)
+
+
+@_jit
+def _predict(recon, t, u, c):
+    """MED prediction and activity bucket of sample (t, u, c) from its causal
+    neighbours in the reconstruction."""
+    if t == 0 and u == 0:
+        return (128 if c < 2 else 0), 0
+    if t == 0:
+        return int(recon[t, u - 1, c]), 0
+    if u == 0:
+        return int(recon[t - 1, u, c]), 0
+    a = int(recon[t, u - 1, c])
+    b = int(recon[t - 1, u, c])
+    cc = int(recon[t - 1, u - 1, c])
+    if cc >= a and cc >= b:
+        pred = a if a < b else b
+    elif cc <= a and cc <= b:
+        pred = a if a > b else b
+    else:
+        pred = a + b - cc
+    act = abs(a - cc) + abs(b - cc)
+    if act == 0:
+        return pred, 0
+    if act < 5:
+        return pred, 1
+    return pred, 2
+
+
+@_jit
+def _shift_low(low, cache, cache_size, out, pos):
+    """Shift the top byte out of ``low``, emitting the cached byte and any
+    pending 0xFF run once a carry can no longer reach them; returns the new
+    (low, cache, cache_size, pos)."""
+    if low < 0xFF000000 or low > MASK32:
+        carry = low >> 32
+        out[pos] = (cache + carry) & 0xFF
+        pos += 1
+        for _ in range(cache_size - 1):
+            out[pos] = (0xFF + carry) & 0xFF
+            pos += 1
+        cache_size = 0
+        cache = (low >> 24) & 0xFF
+    return (low << 8) & MASK32, cache, cache_size + 1, pos
 
 
 def _encode_image(pixels, mode, qp, probs, out):
@@ -89,50 +146,11 @@ def _encode_image(pixels, mode, qp, probs, out):
 
     tree = TREE8 if mode == MODE_LOSSLESS else TREE9
     top_bit = 7 if mode == MODE_LOSSLESS else 8
-    offset = 0  # bin-floor reconstruction, see module docstring
 
     for t in range(height):
         for u in range(width):
             for c in range(channels):
-                # causal neighbors from the reconstruction
-                if u > 0:
-                    a = int(recon[t, u - 1, c])
-                else:
-                    a = -1
-                if t > 0:
-                    b = int(recon[t - 1, u, c])
-                else:
-                    b = -1
-                if t > 0 and u > 0:
-                    cc = int(recon[t - 1, u - 1, c])
-                else:
-                    cc = -1
-
-                if a < 0 and b < 0:
-                    pred = 128 if c < 2 else 0
-                    act = 0
-                elif a < 0:
-                    pred = b
-                    act = 0
-                elif b < 0:
-                    pred = a
-                    act = 0
-                else:
-                    if cc >= a and cc >= b:
-                        pred = a if a < b else b
-                    elif cc <= a and cc <= b:
-                        pred = a if a > b else b
-                    else:
-                        pred = a + b - cc
-                    act = abs(a - cc) + abs(b - cc)
-
-                if act == 0:
-                    bucket = 0
-                elif act < 5:
-                    bucket = 1
-                else:
-                    bucket = 2
-
+                pred, bucket = _predict(recon, t, u, c)
                 x = int(pixels[t, u, c])
                 if mode == MODE_LOSSLESS:
                     value = (x - pred) & 0xFF
@@ -143,31 +161,13 @@ def _encode_image(pixels, mode, qp, probs, out):
                         q = r // qp
                     else:
                         q = -((-r) // qp)
-                    if q > 0:
-                        rhat = q * qp + offset
-                    elif q < 0:
-                        rhat = q * qp - offset
-                    else:
-                        rhat = 0
-                    y = pred + rhat
+                    y = pred + q * qp
+                    # past a boundary, the smallest index that still clamps to it
                     if y > 255:
-                        # smallest index that still clamps to 255
-                        need = 255 - pred - offset
-                        if need <= 0:
-                            q = 1
-                        else:
-                            q = (need + qp - 1) // qp
-                            if q < 1:
-                                q = 1
+                        q = max(1, (255 - pred + qp - 1) // qp)
                         y = 255
                     elif y < 0:
-                        need = pred - offset
-                        if need <= 0:
-                            q = -1
-                        else:
-                            q = -((need + qp - 1) // qp)
-                            if q > -1:
-                                q = -1
+                        q = -max(1, (pred + qp - 1) // qp)
                         y = 0
                     recon[t, u, c] = y
                     value = 2 * q if q >= 0 else -2 * q - 1
@@ -186,33 +186,14 @@ def _encode_image(pixels, mode, qp, probs, out):
                         rng -= bound
                         probs[base + node] = p - (p >> ADAPT_SHIFT)
                     while rng < RC_TOP:
-                        if low < 0xFF000000 or low > MASK32:
-                            carry = low >> 32
-                            out[pos] = (cache + carry) & 0xFF
-                            pos += 1
-                            for _ in range(cache_size - 1):
-                                out[pos] = (0xFF + carry) & 0xFF
-                                pos += 1
-                            cache_size = 0
-                            cache = (low >> 24) & 0xFF
-                        cache_size += 1
-                        low = (low << 8) & MASK32
+                        low, cache, cache_size, pos = _shift_low(
+                            low, cache, cache_size, out, pos)
                         rng = (rng << 8) & MASK32
                     node = (node << 1) | bit
 
     # flush: five shifts push the remaining 32 bits of low (plus cache) out
     for _ in range(5):
-        if low < 0xFF000000 or low > MASK32:
-            carry = low >> 32
-            out[pos] = (cache + carry) & 0xFF
-            pos += 1
-            for _ in range(cache_size - 1):
-                out[pos] = (0xFF + carry) & 0xFF
-                pos += 1
-            cache_size = 0
-            cache = (low >> 24) & 0xFF
-        cache_size += 1
-        low = (low << 8) & MASK32
+        low, cache, cache_size, pos = _shift_low(low, cache, cache_size, out, pos)
     return pos, recon
 
 
@@ -231,49 +212,11 @@ def _decode_image(payload, height, width, channels, mode, qp, probs):
 
     tree = TREE8 if mode == MODE_LOSSLESS else TREE9
     top_bit = 7 if mode == MODE_LOSSLESS else 8
-    offset = 0  # bin-floor reconstruction, see module docstring
 
     for t in range(height):
         for u in range(width):
             for c in range(channels):
-                if u > 0:
-                    a = int(recon[t, u - 1, c])
-                else:
-                    a = -1
-                if t > 0:
-                    b = int(recon[t - 1, u, c])
-                else:
-                    b = -1
-                if t > 0 and u > 0:
-                    cc = int(recon[t - 1, u - 1, c])
-                else:
-                    cc = -1
-
-                if a < 0 and b < 0:
-                    pred = 128 if c < 2 else 0
-                    act = 0
-                elif a < 0:
-                    pred = b
-                    act = 0
-                elif b < 0:
-                    pred = a
-                    act = 0
-                else:
-                    if cc >= a and cc >= b:
-                        pred = a if a < b else b
-                    elif cc <= a and cc <= b:
-                        pred = a if a > b else b
-                    else:
-                        pred = a + b - cc
-                    act = abs(a - cc) + abs(b - cc)
-
-                if act == 0:
-                    bucket = 0
-                elif act < 5:
-                    bucket = 1
-                else:
-                    bucket = 2
-
+                pred, bucket = _predict(recon, t, u, c)
                 base = (c * N_BUCKETS + bucket) * tree
                 node = 1
                 for _ in range(top_bit + 1):
@@ -300,13 +243,7 @@ def _decode_image(payload, height, width, channels, mode, qp, probs):
                     recon[t, u, c] = (pred + value) & 0xFF
                 else:
                     q = value // 2 if value % 2 == 0 else -(value + 1) // 2
-                    if q > 0:
-                        rhat = q * qp + offset
-                    elif q < 0:
-                        rhat = q * qp - offset
-                    else:
-                        rhat = 0
-                    y = pred + rhat
+                    y = pred + q * qp
                     if y > 255:
                         y = 255
                     elif y < 0:

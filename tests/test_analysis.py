@@ -76,7 +76,7 @@ class TestSplit:
         rng = np.random.default_rng(5)
         labels = [c for c in classes for _ in range(rows_per_class)]
         return FeatureMatrix(
-            rng.random((len(labels), 6), dtype=np.float32), labels, ["raw"] * len(labels)
+            rng.random((len(labels), 6), dtype=np.float32), labels
         )
 
     def test_70_30_split(self):
@@ -100,7 +100,7 @@ class TestSplit:
 
     def test_tiny_class_rejected(self):
         fm = FeatureMatrix(
-            np.zeros((3, 2), dtype=np.float32), ["a", "a", "b"], ["raw"] * 3
+            np.zeros((3, 2), dtype=np.float32), ["a", "a", "b"]
         )
         with pytest.raises(ValueError, match="fewer than 2"):
             A.split(fm, 0.7, seed=0)
@@ -111,7 +111,7 @@ def separable():
     rng = np.random.default_rng(7)
     centers = np.clip(rng.random((4, 16)) * 0.4 + np.arange(4)[:, None] * 0.15, 0, 1)
     rows, labels = blob_features(rng, centers, 30, 0.004)
-    fm = FeatureMatrix(np.clip(rows, 0, 1).astype(np.float32), labels, ["raw"] * len(labels))
+    fm = FeatureMatrix(np.clip(rows, 0, 1).astype(np.float32), labels)
     return A.split(fm, 0.7, seed=1)
 
 
@@ -134,7 +134,7 @@ class TestClassifiers:
             A.train_classifier(ClassifierKind.KNN, train, k=4)
 
     def test_empty_training_set_rejected(self):
-        fm = FeatureMatrix(np.zeros((0, 3), dtype=np.float32), [], [])
+        fm = FeatureMatrix(np.zeros((0, 3), dtype=np.float32), [])
         with pytest.raises(ValueError, match="empty"):
             A.train_classifier(ClassifierKind.KNN, fm)
 

@@ -6,8 +6,9 @@ import pytest
 from taccompress import bench, codec
 from taccompress.analysis import ClassifierKind
 from taccompress.errors import FormatError
-from taccompress.imaging import tile_ranges, trace_to_image
+from taccompress.imaging import TactileImage, tile_ranges, trace_to_image
 from taccompress.layout import GraspPose
+from taccompress.metrics import MSSSIM_WINDOW, ms_ssim
 from taccompress.simulate import PhasePlan
 from taccompress.trace import save_trace
 
@@ -210,6 +211,42 @@ class TestLossySuite:
         assert "rd_points.csv" in names
         assert "rd_curve_tlc1-lossy.csv" in names
         assert "bdrate.csv" in names
+
+
+class TestShortTiles:
+    # 20 frames in 16-row tiles: a 4-row tail, below the 11-row MS-SSIM window
+    TAIL = dict(objects=("egg",), poses=(GraspPose.PINCH,), reps=1, seed=1,
+                plan=PhasePlan(0.02, 0.05, 0.03, 0.08, 0.02), codecs=("tlc1-lossy",),
+                tile_height=16, jobs=1)
+
+    def test_tail_tile_is_scored_on_the_last_window_rows(self):
+        (trace,) = bench.build_corpus(bench.BenchConfig(**self.TAIL))
+        assert trace.frame_count == 20
+        runner = bench.CodecRunner(bench.TLC1_CODECS, 16)
+        result = runner.run_trace(trace, "tlc1-lossy", 64, keep_recon=True)
+        source, recon = trace_to_image(trace).pixels, result.recon.pixels
+        tail = slice(-MSSSIM_WINDOW, None)
+        expected = (
+            ms_ssim(TactileImage(source[:16]), TactileImage(recon[:16])) * 16
+            + ms_ssim(TactileImage(source[tail]), TactileImage(recon[tail])) * 4
+        ) / 20
+        assert result.msssim_weighted / result.sub_samples == pytest.approx(expected)
+
+    def test_lossy_suite_completes_with_a_tail_tile(self):
+        config = bench.BenchConfig(**self.TAIL, quality_ladders={"tlc1-lossy": (8, 64)})
+        report = bench.run_lossy_suite(config)
+        assert [c["quality"] for c in report.cells] == [8, 64]
+        assert all(0 < c["msssim"] <= 1 for c in report.cells)
+
+    @pytest.mark.parametrize("change", [
+        {"plan": PhasePlan(0.02, 0.02, 0.02, 0.02, 0.02)},  # a 10-frame trace
+        {"tile_height": 10},
+    ], ids=["trace", "tile_height"])
+    def test_rows_below_the_window_rejected_before_coding(self, change, monkeypatch):
+        monkeypatch.setattr(bench.CodecRunner, "run_trace", None)
+        config = bench.BenchConfig(**{**self.TAIL, **change})
+        with pytest.raises(FormatError, match="of 11 rows, not 10"):
+            bench.run_lossy_suite(config)
 
 
 class TestDownstreamSuite:

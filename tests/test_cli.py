@@ -1,0 +1,116 @@
+"""The CLI's exit-code contract: 0 success, 1 usage, 2 data, 3 codec error."""
+
+import shutil
+
+import pytest
+
+from taccompress import cli
+
+GZIP_AVAILABLE = shutil.which("gzip") is not None
+
+# Two objects, one pose, tiny traces: each bench subcommand takes seconds.
+DATASET = """
+[dataset]
+objects = egg, apple
+poses = pinch
+reps = {reps}
+seed = 1
+plan_s = {plan}
+"""
+TWELVE_FRAMES = "0.02, 0.03, 0.02, 0.03, 0.02"
+TWO_FRAMES = "0, 0.01, 0.01, 0, 0"
+
+GHOST_SPEC = """
+[ghost]
+kind = lossy
+io_format = raw
+quality_ladder = 1
+encode = no-such-tool-xyz {input} {quality} > {output}
+decode = no-such-tool-xyz -d {input} > {output}
+"""
+
+
+def write_config(tmp_path, text, reps=1, plan=TWELVE_FRAMES):
+    path = tmp_path / "bench.ini"
+    out = tmp_path / "out"
+    path.write_text(DATASET.format(reps=reps, plan=plan) + text
+                    + f"\n[output]\ndirectory = {out}\n")
+    return str(path)
+
+
+def downstream_config(tmp_path, codec, extra=""):
+    return write_config(
+        tmp_path,
+        f"[run]\ncodecs = tlc1\n{extra}\n[downstream]\nclassifiers = softmax\n"
+        f"codec = {codec}\nqualities = 64\nfeature_height = 2\ntrain_fraction = 0.5\n",
+        reps=2, plan=TWO_FRAMES,
+    )
+
+
+def test_simulate_compress_decompress_metrics_round_trip(tmp_path, capsys):
+    assert cli.main(["--seed", "1", "--out", str(tmp_path), "simulate", "--objects", "egg",
+                     "--poses", "pinch", "--plan", TWELVE_FRAMES.replace(" ", "")]) == 0
+    trace = tmp_path / "egg_pinch_0.mptd"
+    blob = tmp_path / "egg.tlc1"
+    back = tmp_path / "egg.ppm"
+    assert cli.main(["compress", str(trace), str(blob)]) == 0
+    assert cli.main(["decompress", str(blob), str(back)]) == 0
+    capsys.readouterr()
+    assert cli.main(["metrics", str(trace), str(back)]) == 0
+    assert "ms_ssim = 1\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, run", [
+    ("bench-lossless", "[run]\ncodecs = tlc1\ntile_height = 8\n"),
+    ("bench-lossy", "[run]\ncodecs = tlc1-lossy\nquality_ladder.tlc1-lossy = 8, 64\n"),
+], ids=["lossless", "lossy"])
+def test_bench_suites_exit_0(tmp_path, command, run):
+    assert cli.main(["--config", write_config(tmp_path, run), command]) == 0
+    assert any((tmp_path / "out").glob("*.csv"))
+
+
+def test_bench_downstream_exits_0(tmp_path):
+    config = downstream_config(tmp_path, "tlc1-lossy")
+    assert cli.main(["--config", config, "bench-downstream"]) == 0
+    assert (tmp_path / "out" / "downstream_accuracy.csv").exists()
+
+
+@pytest.mark.skipif(not GZIP_AVAILABLE, reason="gzip not installed")
+def test_downstream_codec_outside_the_run_codecs_exits_0(tmp_path):
+    config = downstream_config(tmp_path, "gzip")
+    assert cli.main(["--config", config, "bench-downstream"]) == 0
+    text = (tmp_path / "out" / "downstream_accuracy.csv").read_text()
+    assert "\ngzip@64,64," in text
+
+
+@pytest.mark.parametrize("argv", [["frobnicate"], ["classify"]])
+def test_unknown_subcommand_exits_1(argv):
+    assert cli.main(argv) == 1
+
+
+def test_blob_with_four_channels_exits_2(tmp_path):
+    trace = tmp_path / "egg_pinch_0.mptd"
+    blob = tmp_path / "egg.tlc1"
+    cli.main(["--out", str(tmp_path), "simulate", "--objects", "egg", "--poses", "pinch",
+              "--plan", "0,0.01,0.01,0,0"])
+    assert cli.main(["compress", str(trace), str(blob)]) == 0
+    data = bytearray(blob.read_bytes())
+    data[15] = 4  # channels: after magic(4), version/mode/qp(3), dims(8)
+    blob.write_bytes(bytes(data))
+    assert cli.main(["decompress", str(blob), str(tmp_path / "out.ppm")]) == 2
+
+
+@pytest.mark.parametrize("text", ["no section header\n", "[dataset]\nposes = fist\n"],
+                         ids=["no-section", "bad-pose"])
+def test_malformed_config_exits_2(tmp_path, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli.main(["--config", str(path), "bench-lossless"]) == 2
+
+
+def test_unavailable_downstream_codec_exits_3(tmp_path, capsys):
+    specs = tmp_path / "codecs.spec"
+    specs.write_text(GHOST_SPEC)
+    config = downstream_config(tmp_path, "ghost", extra=f"codec_specs = {specs}\n")
+    assert cli.main(["--config", config, "bench-downstream"]) == 3
+    assert "no-such-tool-xyz" in capsys.readouterr().err

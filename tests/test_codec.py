@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -186,3 +187,27 @@ class TestBlobContainer:
         codec.write_blob(codec.encode_lossless(img), sink)
         with pytest.raises(FormatError, match="truncated"):
             codec.read_blob(sink.getvalue()[:-2])
+
+    def test_channel_count_other_than_three_rejected(self):
+        sink = io.BytesIO()
+        codec.write_blob(codec.encode_lossless(constant_image(4, 4)), sink)
+        data = bytearray(sink.getvalue())
+        data[15] = 4  # channels: after magic(4), version/mode/qp(3), dims(8)
+        with pytest.raises(FormatError, match="channels"):
+            codec.read_blob(bytes(data))
+
+    @pytest.mark.parametrize("width, height", [(0xFFFFFFFF, 0xFFFFFFFF), (0, 4)])
+    def test_sample_count_the_payload_cannot_hold_rejected(self, width, height):
+        # 29 bytes: header, a 1-byte payload and the checksum
+        data = (codec.TLC1_MAGIC + struct.pack("<BBBIIBQ", 1, 0, 0, width, height, 3, 1)
+                + b"\x00" + struct.pack("<I", 0))
+        assert len(data) == 29
+        with pytest.raises(FormatError, match="cannot be coded"):
+            codec.read_blob(data)
+
+    def test_cheapest_tile_round_trips_through_the_container(self):
+        # a constant 256x1140 tile codes the most samples per payload byte
+        img = constant_image()
+        sink = io.BytesIO()
+        codec.write_blob(codec.encode_lossless(img), sink)
+        assert codec.decode_lossless(codec.read_blob(sink.getvalue())) == img
