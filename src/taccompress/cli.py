@@ -85,6 +85,7 @@ def _cmd_simulate(args):
         else PhasePlan()
     )
     profiles = {p.name: p for p in default_profiles()}
+    seed = bench.BenchConfig().seed if args.seed is None else args.seed
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for obj in objects:
@@ -98,7 +99,7 @@ def _cmd_simulate(args):
                     pose,
                     plan,
                     sample_rate_hz=args.rate,
-                    seed=bench._trace_seed(args.seed, obj, pose, rep),
+                    seed=bench._trace_seed(seed, obj, pose, rep),
                     repetition_id=rep,
                 )
                 name = f"{_slug(obj)}_{pose.name.lower()}_{rep}.mptd"

@@ -12,7 +12,8 @@ The entropy coder is a carry-aware binary range coder (LZMA-style):
   image near 0.011 bits per sample.  The split point is
   ``bound = (range >> 15) * p``; bit 0 takes the lower
   part.  The flush performs five shift operations so the decoder can always
-  fill its 5-byte lookahead.
+  fill its 5-byte lookahead.  The decoder reads bytes past the end of the
+  payload as 0.
 
 Residual values are coded most-significant-bit first through an adaptive
 context tree (one probability per reached tree node), with a separate tree
@@ -29,35 +30,32 @@ dead-zone uniform quantizer with step ``qp`` (zero bin width 2*qp) that
 reconstructs at the bin floor (``rhat = q*qp``): floor reconstruction
 never overshoots the true residual, which keeps both rate and distortion
 monotone in the step size on DPCM loops over noisy near-flat signals.
-The zigzag-mapped index is coded with a 9-level tree.  When the dequantized residual would push the reconstruction
-past 0 or 255 the encoder re-canonicalizes the index to the smallest
-magnitude that still clamps to the same boundary, which makes re-encoding a
-decoded image reproduce it exactly.
+The zigzag-mapped index is coded with a 9-level tree.  When the dequantized
+residual would push the reconstruction past 0 or 255 the encoder
+re-canonicalizes the index to the smallest magnitude that still clamps to
+the same boundary, which makes re-encoding a decoded image reproduce it
+exactly.
 
-Everything here must stay bit-exact and allocation-free in the hot loop.
-The encode and decode kernels share ``_predict`` (the MED predictor and the
-activity bucket), and the encoder's renormalization and flush share
-``_shift_low`` (byte output through the carry cache).  Kernels and helpers
-are compiled with numba when available and run as plain Python otherwise
-(identical arithmetic, so identical bitstreams).
+There is one backend, plain Python, shaped for the interpreter:
+
+* Encoding runs in two passes.  The first finds each sample's context
+  (channel and activity bucket) and tree value.  In lossless mode the
+  reconstruction is the source, so numpy computes prediction, bucket and
+  residual for a whole row at once; lossy mode runs its DPCM loop in Python.
+  The second pass is the binary coder alone, over one row of
+  ``context << levels | value`` keys at a time.
+* The per-sample loops run over Python ints from ``.tolist()``, with one
+  probability list per context, each value's (node, bit) path and each
+  probability update from tables, and output in a ``bytearray``.  The MED
+  predictor is written out in the lossy pass and in the decoder, which keep
+  the previous and current row of the reconstruction as lists.
 """
 
 import math
 
 import numpy as np
 
-try:
-    from numba import njit as _njit
-
-    def _jit(fn):
-        return _njit(cache=True, nogil=True)(fn)
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    def _jit(fn):
-        return fn
-
-    HAVE_NUMBA = False
+HAVE_NUMBA = False  # the kernels are plain Python; kept for callers that report the backend
 
 PROB_BITS = 15
 PROB_ONE = 1 << PROB_BITS
@@ -70,18 +68,11 @@ MODE_LOSSLESS = 0
 MODE_LOSSY = 1
 
 N_BUCKETS = 3
-TREE8 = 256   # nodes 1..255 used
-TREE9 = 512   # nodes 1..511 used
+CHANNELS = 3
 
-# Probabilities never leave [31, 32737], so one coded bit costs at most
-# log2(32768/31) ~= 10.05 bits and 12x the raw size can never overflow.
-PAYLOAD_SLACK = 64
-# ... and at least log2(32768/32737); a sample codes at least 8 tree bits.
+# A sample codes at least 8 tree bits, each costing at least
+# log2(32768/32737) (probabilities never leave [31, 32737]).
 MIN_SAMPLE_BITS = 8 * math.log2(PROB_ONE / (PROB_ONE - (1 << ADAPT_SHIFT) + 1))
-
-
-def payload_capacity(sample_count: int) -> int:
-    return 12 * sample_count + PAYLOAD_SLACK
 
 
 def max_sample_count(payload_len: int) -> int:
@@ -90,187 +81,249 @@ def max_sample_count(payload_len: int) -> int:
     return int(2 * 8 * payload_len / MIN_SAMPLE_BITS)
 
 
-@_jit
-def _predict(recon, t, u, c):
-    """MED prediction and activity bucket of sample (t, u, c) from its causal
-    neighbours in the reconstruction."""
-    if t == 0 and u == 0:
-        return (128 if c < 2 else 0), 0
-    if t == 0:
-        return int(recon[t, u - 1, c]), 0
-    if u == 0:
-        return int(recon[t - 1, u, c]), 0
-    a = int(recon[t, u - 1, c])
-    b = int(recon[t - 1, u, c])
-    cc = int(recon[t - 1, u - 1, c])
-    if cc >= a and cc >= b:
-        pred = a if a < b else b
-    elif cc <= a and cc <= b:
-        pred = a if a > b else b
-    else:
-        pred = a + b - cc
-    act = abs(a - cc) + abs(b - cc)
-    if act == 0:
-        return pred, 0
-    if act < 5:
-        return pred, 1
-    return pred, 2
+def _tree_paths(levels):
+    """Each value's walk down a ``levels``-deep tree: (node, bit) pairs,
+    most significant bit first."""
+    steps = [(node >> 1, node & 1) for node in range(1 << (levels + 1))]
+    return [tuple(steps[((1 << levels) | value) >> k] for k in range(levels - 1, -1, -1))
+            for value in range(1 << levels)]
 
 
-@_jit
-def _shift_low(low, cache, cache_size, out, pos):
+_LEVELS = {MODE_LOSSLESS: 8, MODE_LOSSY: 9}
+_PATHS = {mode: _tree_paths(levels) for mode, levels in _LEVELS.items()}
+# Activity |a-cc| + |b-cc| <= 510 -> bucket 0, 1..4, >=5.
+_BUCKET = [0] + [1] * 4 + [2] * 506
+# Probability after coding a 0 / a 1 from probability p (the two tables
+# share one int object per probability).
+_PROBS = list(range(PROB_ONE + 1))
+_AFTER0 = [_PROBS[p + ((PROB_ONE - p) >> ADAPT_SHIFT)] for p in _PROBS]
+_AFTER1 = [_PROBS[p - (p >> ADAPT_SHIFT)] for p in _PROBS]
+del _PROBS
+_REST = (128, 128, 0)  # prediction of a channel's very first sample
+
+
+def _fresh_contexts(mode):
+    """One probability list per (channel, bucket) context."""
+    size = 1 << _LEVELS[mode]
+    return [[PROB_INIT] * size for _ in range(CHANNELS * N_BUCKETS)]
+
+
+def _lossless_rows(pixels):
+    """Each row's context-and-residual keys, predicted from the source itself
+    (in lossless mode it is the reconstruction)."""
+    base = np.arange(CHANNELS, dtype=np.int16) * N_BUCKETS
+    prev = None
+    for row in pixels.astype(np.int16):
+        pred = np.empty_like(row)
+        bucket = np.zeros_like(row)
+        if prev is None:
+            pred[0] = _REST
+            pred[1:] = row[:-1]
+        else:
+            pred[0] = prev[0]
+            a, b, cc = row[:-1], prev[1:], prev[:-1]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            pred[1:] = np.where(cc >= hi, lo, np.where(cc <= lo, hi, a + b - cc))
+            act = np.abs(a - cc) + np.abs(b - cc)
+            bucket[1:] = (act > 0).astype(np.int16) + (act >= 5)
+        prev = row
+        yield (((base + bucket) << 8) | ((row - pred) & 0xFF)).ravel().tolist()
+
+
+def _lossy_rows(pixels, qp, recon):
+    """DPCM pass of lossy mode: each row's keys; writes the reconstruction
+    row by row into the bytearray ``recon``."""
+    height, width, channels = pixels.shape
+    rowlen = width * channels
+    levels = _LEVELS[MODE_LOSSY]
+    channel_ctx = [c * N_BUCKETS for c in range(channels)] * width
+    # residual r (index r, negative r wraps) -> (dequantized residual, zigzag index)
+    quant = [None] * 512
+    for r in range(-255, 256):
+        q = r // qp if r >= 0 else -((-r) // qp)
+        quant[r] = (q * qp, 2 * q if q >= 0 else -2 * q - 1)
+    bucket_of = _BUCKET
+    prev, first = None, True
+    for t in range(height):
+        xs = pixels[t].ravel().tolist()
+        # cur[j] is the left neighbour of sample j; its first three entries
+        # stand in for column 0, which predicts from above (or the rest code).
+        cur = [0] * (rowlen + channels)
+        if first:
+            cur[:channels] = _REST
+        else:
+            # column 0 predicts from above: its left and up-left read the up sample
+            cur[:channels] = prev[:channels] = prev[channels:2 * channels]
+        keys = [0] * rowlen
+        for j in range(rowlen):
+            a = cur[j]
+            if first:
+                b = cc = a
+            else:
+                b = prev[j + channels]
+                cc = prev[j]
+            if cc >= a:
+                if cc >= b:
+                    pred = a if a < b else b
+                    act = cc + cc - a - b
+                else:
+                    pred = a + b - cc
+                    act = b - a
+            elif cc <= b:
+                pred = a if a > b else b
+                act = a + b - cc - cc
+            else:
+                pred = a + b - cc
+                act = a - b
+            dq, value = quant[xs[j] - pred]
+            y = pred + dq
+            # past a boundary, the smallest index that still clamps to it
+            if y > 255:
+                q = max(1, (255 - pred + qp - 1) // qp)
+                value = 2 * q
+                y = 255
+            elif y < 0:
+                q = -max(1, (pred + qp - 1) // qp)
+                value = -2 * q - 1
+                y = 0
+            cur[j + channels] = y
+            keys[j] = ((channel_ctx[j] + bucket_of[act]) << levels) | value
+        recon[t * rowlen:(t + 1) * rowlen] = cur[channels:]
+        prev, first = cur, False
+        yield keys
+
+
+def _shift_low(low, cache, cache_size, out):
     """Shift the top byte out of ``low``, emitting the cached byte and any
     pending 0xFF run once a carry can no longer reach them; returns the new
-    (low, cache, cache_size, pos)."""
+    (low, cache, cache_size).  It runs once per output byte."""
     if low < 0xFF000000 or low > MASK32:
         carry = low >> 32
-        out[pos] = (cache + carry) & 0xFF
-        pos += 1
-        for _ in range(cache_size - 1):
-            out[pos] = (0xFF + carry) & 0xFF
-            pos += 1
-        cache_size = 0
-        cache = (low >> 24) & 0xFF
-    return (low << 8) & MASK32, cache, cache_size + 1, pos
+        out.append((cache + carry) & 0xFF)
+        out += (b"\x00" if carry else b"\xff") * (cache_size - 1)
+        return (low & 0xFFFFFF) << 8, (low >> 24) & 0xFF, 1
+    return (low & 0xFFFFFF) << 8, cache, cache_size + 1
 
 
-def _encode_image(pixels, mode, qp, probs, out):
-    height, width, channels = pixels.shape
-    recon = np.empty_like(pixels)
-
+def _encode_rows(rows, mode):
+    """Binary range coder over rows of keys ``context << levels | value``."""
+    contexts = _fresh_contexts(mode)
+    table = [(probs, path) for probs in contexts for path in _PATHS[mode]]
+    after0, after1 = _AFTER0, _AFTER1
+    top = RC_TOP
+    out = bytearray()
     low = 0
     rng = MASK32
     cache = 0
     cache_size = 1
-    pos = 0
-
-    tree = TREE8 if mode == MODE_LOSSLESS else TREE9
-    top_bit = 7 if mode == MODE_LOSSLESS else 8
-
-    for t in range(height):
-        for u in range(width):
-            for c in range(channels):
-                pred, bucket = _predict(recon, t, u, c)
-                x = int(pixels[t, u, c])
-                if mode == MODE_LOSSLESS:
-                    value = (x - pred) & 0xFF
-                    recon[t, u, c] = x
+    for row in rows:
+        for key in row:
+            probs, path = table[key]
+            for node, bit in path:
+                p = probs[node]
+                bound = (rng >> PROB_BITS) * p
+                if bit:
+                    low += bound
+                    rng -= bound
+                    probs[node] = after1[p]
                 else:
-                    r = x - pred
-                    if r >= 0:
-                        q = r // qp
-                    else:
-                        q = -((-r) // qp)
-                    y = pred + q * qp
-                    # past a boundary, the smallest index that still clamps to it
-                    if y > 255:
-                        q = max(1, (255 - pred + qp - 1) // qp)
-                        y = 255
-                    elif y < 0:
-                        q = -max(1, (pred + qp - 1) // qp)
-                        y = 0
-                    recon[t, u, c] = y
-                    value = 2 * q if q >= 0 else -2 * q - 1
-
-                base = (c * N_BUCKETS + bucket) * tree
-                node = 1
-                for k in range(top_bit, -1, -1):
-                    bit = (value >> k) & 1
-                    p = probs[base + node]
-                    bound = (rng >> PROB_BITS) * p
-                    if bit == 0:
-                        rng = bound
-                        probs[base + node] = p + ((PROB_ONE - p) >> ADAPT_SHIFT)
-                    else:
-                        low += bound
-                        rng -= bound
-                        probs[base + node] = p - (p >> ADAPT_SHIFT)
-                    while rng < RC_TOP:
-                        low, cache, cache_size, pos = _shift_low(
-                            low, cache, cache_size, out, pos)
-                        rng = (rng << 8) & MASK32
-                    node = (node << 1) | bit
-
+                    rng = bound
+                    probs[node] = after0[p]
+                while rng < top:
+                    low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+                    rng <<= 8
     # flush: five shifts push the remaining 32 bits of low (plus cache) out
     for _ in range(5):
-        low, cache, cache_size, pos = _shift_low(low, cache, cache_size, out, pos)
-    return pos, recon
-
-
-def _decode_image(payload, height, width, channels, mode, qp, probs):
-    recon = np.empty((height, width, channels), dtype=np.uint8)
-    n = payload.shape[0]
-
-    rng = MASK32
-    code = 0
-    pos = 0
-    for _ in range(5):  # first byte is the encoder's initial zero cache
-        byte = int(payload[pos]) if pos < n else 0
-        code = ((code << 8) | byte) & 0xFFFFFFFFFF
-        pos += 1
-    code &= MASK32
-
-    tree = TREE8 if mode == MODE_LOSSLESS else TREE9
-    top_bit = 7 if mode == MODE_LOSSLESS else 8
-
-    for t in range(height):
-        for u in range(width):
-            for c in range(channels):
-                pred, bucket = _predict(recon, t, u, c)
-                base = (c * N_BUCKETS + bucket) * tree
-                node = 1
-                for _ in range(top_bit + 1):
-                    p = probs[base + node]
-                    bound = (rng >> PROB_BITS) * p
-                    if code < bound:
-                        bit = 0
-                        rng = bound
-                        probs[base + node] = p + ((PROB_ONE - p) >> ADAPT_SHIFT)
-                    else:
-                        bit = 1
-                        code -= bound
-                        rng -= bound
-                        probs[base + node] = p - (p >> ADAPT_SHIFT)
-                    while rng < RC_TOP:
-                        byte = int(payload[pos]) if pos < n else 0
-                        code = ((code << 8) | byte) & MASK32
-                        rng = (rng << 8) & MASK32
-                        pos += 1
-                    node = (node << 1) | bit
-                value = node - (1 << (top_bit + 1))
-
-                if mode == MODE_LOSSLESS:
-                    recon[t, u, c] = (pred + value) & 0xFF
-                else:
-                    q = value // 2 if value % 2 == 0 else -(value + 1) // 2
-                    y = pred + q * qp
-                    if y > 255:
-                        y = 255
-                    elif y < 0:
-                        y = 0
-                    recon[t, u, c] = y
-    return recon
-
-
-encode_image_kernel = _jit(_encode_image)
-decode_image_kernel = _jit(_decode_image)
-
-
-def fresh_probs(mode: int) -> np.ndarray:
-    tree = TREE8 if mode == MODE_LOSSLESS else TREE9
-    return np.full(3 * N_BUCKETS * tree, PROB_INIT, dtype=np.int64)
+        low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+    return bytes(out)
 
 
 def encode_image(pixels: np.ndarray, mode: int, qp: int) -> tuple[bytes, np.ndarray]:
     """Range-code one image; returns (payload, reconstruction)."""
     pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
-    out = np.empty(payload_capacity(pixels.size), dtype=np.uint8)
-    nbytes, recon = encode_image_kernel(pixels, mode, qp, fresh_probs(mode), out)
-    return out[:nbytes].tobytes(), recon
+    if mode == MODE_LOSSLESS:
+        return _encode_rows(_lossless_rows(pixels), mode), pixels.copy()
+    recon = bytearray(pixels.size)
+    payload = _encode_rows(_lossy_rows(pixels, qp, recon), mode)
+    return payload, np.frombuffer(recon, dtype=np.uint8).reshape(pixels.shape)
 
 
 def decode_image(payload: bytes, height: int, width: int, channels: int,
                  mode: int, qp: int) -> np.ndarray:
-    buf = np.frombuffer(payload, dtype=np.uint8)
-    return decode_image_kernel(buf, height, width, channels, mode, qp,
-                               fresh_probs(mode))
+    levels = _LEVELS[mode]
+    size = 1 << levels
+    lossless = mode == MODE_LOSSLESS
+    # zigzag index -> dequantized residual
+    dequant = [(v // 2 if v % 2 == 0 else -(v + 1) // 2) * qp for v in range(size)]
+    contexts = _fresh_contexts(mode)
+    rowlen = width * channels
+    # each sample's three context probability lists, one per activity bucket
+    sample_contexts = [contexts[c * N_BUCKETS:(c + 1) * N_BUCKETS]
+                       for c in range(channels)] * width
+    bucket_of, after0, after1 = _BUCKET, _AFTER0, _AFTER1
+    top = RC_TOP
+    n = len(payload)
+
+    rng = MASK32
+    code = 0
+    pos = 0
+    for _ in range(5):  # first byte is the encoder's initial zero cache
+        code = ((code << 8) | (payload[pos] if pos < n else 0)) & 0xFFFFFFFFFF
+        pos += 1
+    code &= MASK32
+
+    recon = bytearray(height * rowlen)
+    prev, first = None, True
+    for t in range(height):
+        cur = [0] * (rowlen + channels)
+        if first:
+            cur[:channels] = _REST
+        else:
+            # column 0 predicts from above: its left and up-left read the up sample
+            cur[:channels] = prev[:channels] = prev[channels:2 * channels]
+        for j in range(rowlen):
+            a = cur[j]
+            if first:
+                b = cc = a
+            else:
+                b = prev[j + channels]
+                cc = prev[j]
+            if cc >= a:
+                if cc >= b:
+                    pred = a if a < b else b
+                    act = cc + cc - a - b
+                else:
+                    pred = a + b - cc
+                    act = b - a
+            elif cc <= b:
+                pred = a if a > b else b
+                act = a + b - cc - cc
+            else:
+                pred = a + b - cc
+                act = a - b
+            probs = sample_contexts[j][bucket_of[act]]
+            node = 1
+            while node < size:
+                p = probs[node]
+                bound = (rng >> PROB_BITS) * p
+                if code < bound:
+                    rng = bound
+                    probs[node] = after0[p]
+                    node += node
+                else:
+                    code -= bound
+                    rng -= bound
+                    probs[node] = after1[p]
+                    node += node + 1
+                while rng < top:
+                    code = ((code << 8) | (payload[pos] if pos < n else 0)) & MASK32
+                    rng <<= 8
+                    pos += 1
+            if lossless:
+                cur[j + channels] = (pred + node - size) & 0xFF
+            else:
+                y = pred + dequant[node - size]
+                cur[j + channels] = 255 if y > 255 else (0 if y < 0 else y)
+        recon[t * rowlen:(t + 1) * rowlen] = cur[channels:]
+        prev, first = cur, False
+    return np.frombuffer(recon, dtype=np.uint8).reshape(height, width, channels)

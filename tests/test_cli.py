@@ -60,6 +60,16 @@ def test_simulate_compress_decompress_metrics_round_trip(tmp_path, capsys):
     assert "ms_ssim = 1\n" in capsys.readouterr().out
 
 
+def test_simulate_seed_defaults_to_the_bench_seed(tmp_path):
+    runs = {}
+    for name, seed_args in (("default", []), ("seed0", ["--seed", "0"])):
+        out = tmp_path / name
+        assert cli.main([*seed_args, "--out", str(out), "simulate", "--objects", "egg",
+                         "--poses", "pinch", "--plan", TWO_FRAMES.replace(" ", "")]) == 0
+        runs[name] = (out / "egg_pinch_0.mptd").read_bytes()
+    assert runs["default"] == runs["seed0"]
+
+
 @pytest.mark.parametrize("command, run", [
     ("bench-lossless", "[run]\ncodecs = tlc1\ntile_height = 8\n"),
     ("bench-lossy", "[run]\ncodecs = tlc1-lossy\nquality_ladder.tlc1-lossy = 8, 64\n"),

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import struct
 
@@ -165,6 +166,17 @@ class TestBlobContainer:
         )
         with pytest.raises(CodecIntegrityError, match="checksum"):
             codec.decode_lossless(bad)
+
+    @pytest.mark.parametrize("mode", ["lossless", "lossy"])
+    @pytest.mark.parametrize("keep", ["first-byte", "half"])
+    def test_cut_payload_fails_its_checksum(self, mode, keep):
+        # the decoder reads past the end of a short payload as zero bytes
+        img = simulator_image(seed=9)
+        blob = codec.encode_lossless(img) if mode == "lossless" else codec.encode_lossy(img, 8)
+        cut = 1 if keep == "first-byte" else len(blob.payload) // 2
+        short = dataclasses.replace(blob, payload=blob.payload[:cut])
+        with pytest.raises(CodecIntegrityError, match="checksum"):
+            codec.decode(short)
 
     def test_zero_length_payload_rejected(self):
         img = constant_image(4, 4)

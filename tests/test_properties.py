@@ -1,0 +1,174 @@
+"""Property tests for the TLC1 codec: round trips, idempotence, hostile input,
+and bit-exactness against a per-sample reference coder."""
+
+import struct
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from taccompress import codec, rangecoder
+from taccompress.errors import CodecIntegrityError, FormatError
+from taccompress.imaging import TactileImage
+
+SETTINGS = settings(max_examples=60, deadline=None)
+ONE, SHIFT, TOP, MASK32 = 1 << 15, 5, 1 << 24, 0xFFFFFFFF
+
+images = st.tuples(st.integers(1, 5), st.integers(1, 64)).flatmap(
+    lambda hw: arrays(np.uint8, (*hw, 3))
+)
+
+
+@SETTINGS
+@given(images)
+def test_lossless_round_trip_is_exact(pixels):
+    img = TactileImage(pixels)
+    assert codec.decode_lossless(codec.encode_lossless(img)) == img
+
+
+@SETTINGS
+@given(images, st.integers(1, 255))
+def test_lossy_reencode_of_a_decoded_image_is_idempotent(pixels, qp):
+    payload, once = rangecoder.encode_image(pixels, rangecoder.MODE_LOSSY, qp)
+    assert np.array_equal(
+        rangecoder.decode_image(payload, *pixels.shape, rangecoder.MODE_LOSSY, qp), once)
+    _, twice = rangecoder.encode_image(once, rangecoder.MODE_LOSSY, qp)
+    assert np.array_equal(twice, once)
+
+
+# Containers with a well-formed header around arbitrary payload bytes reach
+# the range decoder; bare arbitrary bytes exercise the header checks.
+containers = st.builds(
+    lambda mode, qp, width, height, channels, payload, checksum: (
+        codec.TLC1_MAGIC
+        + struct.pack("<BBBIIBQ", 1, mode, qp, width, height, channels, len(payload))
+        + payload + struct.pack("<I", checksum)),
+    st.integers(0, 1), st.integers(0, 255), st.integers(0, 40), st.integers(0, 8),
+    st.sampled_from([3, 3, 3, 0, 4]), st.binary(max_size=64), st.integers(0, 2**32 - 1),
+)
+
+
+@SETTINGS
+@given(st.one_of(st.binary(max_size=128), containers))
+def test_arbitrary_bytes_raise_only_format_or_integrity_errors(data):
+    try:
+        codec.decode(codec.read_blob(data))
+    except (FormatError, CodecIntegrityError):
+        pass
+
+
+# The reference coder: one sample at a time over numpy scalars, with the MED
+# predictor, quantizer and carry handling written out as the format describes.
+def _predict(recon, t, u, c):
+    if t == 0 and u == 0:
+        return (128 if c < 2 else 0), 0
+    if t == 0:
+        return int(recon[t, u - 1, c]), 0
+    if u == 0:
+        return int(recon[t - 1, u, c]), 0
+    a, b, cc = (int(recon[t, u - 1, c]), int(recon[t - 1, u, c]),
+                int(recon[t - 1, u - 1, c]))
+    if cc >= max(a, b):
+        pred = min(a, b)
+    elif cc <= min(a, b):
+        pred = max(a, b)
+    else:
+        pred = a + b - cc
+    act = abs(a - cc) + abs(b - cc)
+    return pred, 0 if act == 0 else 1 if act < 5 else 2
+
+
+def reference_encode(pixels, mode, qp):
+    levels = 8 if mode == rangecoder.MODE_LOSSLESS else 9
+    probs = [ONE >> 1] * (9 << levels)
+    recon = np.zeros_like(pixels)
+    out, low, rng, cache, cache_size = [], 0, MASK32, 0, 1
+
+    def shift_low():
+        nonlocal low, cache, cache_size
+        if low < 0xFF000000 or low > MASK32:
+            carry = low >> 32
+            out.extend([(cache + carry) & 0xFF] + [(0xFF + carry) & 0xFF] * (cache_size - 1))
+            cache, cache_size = (low >> 24) & 0xFF, 0
+        low, cache_size = (low << 8) & MASK32, cache_size + 1
+
+    for (t, u, c), x in np.ndenumerate(pixels.astype(int)):
+        pred, bucket = _predict(recon, t, u, c)
+        if mode == rangecoder.MODE_LOSSLESS:
+            value, recon[t, u, c] = (x - pred) & 0xFF, x
+        else:
+            q = (x - pred) // qp if x >= pred else -((pred - x) // qp)
+            y = pred + q * qp
+            if y > 255:
+                q, y = max(1, (255 - pred + qp - 1) // qp), 255
+            elif y < 0:
+                q, y = -max(1, (pred + qp - 1) // qp), 0
+            value, recon[t, u, c] = (2 * q if q >= 0 else -2 * q - 1), y
+        node, base = 1, (c * 3 + bucket) << levels
+        for k in range(levels - 1, -1, -1):
+            bit = (value >> k) & 1
+            p = probs[base + node]
+            bound = (rng >> 15) * p
+            if bit:
+                low, rng, probs[base + node] = low + bound, rng - bound, p - (p >> SHIFT)
+            else:
+                rng, probs[base + node] = bound, p + ((ONE - p) >> SHIFT)
+            while rng < TOP:
+                shift_low()
+                rng = (rng << 8) & MASK32
+            node = (node << 1) | bit
+    for _ in range(5):
+        shift_low()
+    return bytes(out), recon
+
+
+def reference_decode(payload, height, width, mode, qp):
+    levels = 8 if mode == rangecoder.MODE_LOSSLESS else 9
+    probs = [ONE >> 1] * (9 << levels)
+    recon = np.zeros((height, width, 3), np.uint8)
+    data = iter(payload)
+    code, rng = 0, MASK32
+    for _ in range(5):
+        code = ((code << 8) | next(data, 0)) & MASK32
+    for t, u, c in np.ndindex(recon.shape):
+        pred, bucket = _predict(recon, t, u, c)
+        node, base = 1, (c * 3 + bucket) << levels
+        while node < 1 << levels:
+            p = probs[base + node]
+            bound = (rng >> 15) * p
+            if code < bound:
+                rng, probs[base + node], node = bound, p + ((ONE - p) >> SHIFT), 2 * node
+            else:
+                code, rng = code - bound, rng - bound
+                probs[base + node], node = p - (p >> SHIFT), 2 * node + 1
+            while rng < TOP:
+                code, rng = ((code << 8) | next(data, 0)) & MASK32, (rng << 8) & MASK32
+        value = node - (1 << levels)
+        if mode == rangecoder.MODE_LOSSLESS:
+            recon[t, u, c] = (pred + value) & 0xFF
+        else:
+            q = value // 2 if value % 2 == 0 else -(value + 1) // 2
+            recon[t, u, c] = min(255, max(0, pred + q * qp))
+    return recon
+
+
+modes = st.just((rangecoder.MODE_LOSSLESS, 1)) | st.tuples(
+    st.just(rangecoder.MODE_LOSSY), st.integers(1, 255))
+
+
+@SETTINGS
+@given(images, modes)
+def test_encoder_matches_the_reference_coder(pixels, mode_qp):
+    payload, recon = rangecoder.encode_image(pixels, *mode_qp)
+    ref_payload, ref_recon = reference_encode(pixels, *mode_qp)
+    assert payload == ref_payload
+    assert np.array_equal(recon, ref_recon)
+
+
+@SETTINGS
+@given(st.binary(min_size=1, max_size=64), st.integers(1, 4), st.integers(1, 16), modes)
+def test_decoder_matches_the_reference_coder_on_any_payload(payload, height, width, mode_qp):
+    assert np.array_equal(
+        rangecoder.decode_image(payload, height, width, 3, *mode_qp),
+        reference_decode(payload, height, width, *mode_qp))
