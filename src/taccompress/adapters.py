@@ -167,7 +167,6 @@ def run_external(
     spec: CodecSpec,
     image: TactileImage,
     quality: int | None = None,
-    workdir: str | Path | None = None,
     timeout: float = DEFAULT_TIMEOUT_S,
 ) -> tuple[CompressedBlob, TactileImage]:
     """Encode (and decode) one image with an external codec.
@@ -180,8 +179,7 @@ def run_external(
     if spec.kind is CodecKind.LOSSY and quality is None:
         raise ValueError(f"{spec.codec_id}: lossy codec needs a quality value")
 
-    scratch = tempfile.mkdtemp(prefix=f"{spec.codec_id}-", dir=workdir)
-    scratch = Path(scratch)
+    scratch = Path(tempfile.mkdtemp(prefix=f"{spec.codec_id}-"))
     try:
         src = scratch / ("input.ppm" if spec.io_format is IOFormat.PPM else "input.raw")
         enc = scratch / "encoded.bin"
@@ -226,8 +224,7 @@ def run_external(
         shutil.rmtree(scratch, ignore_errors=True)
 
 
-def probe(spec: CodecSpec, workdir: str | Path | None = None,
-          timeout: float = 30.0) -> ProbeResult:
+def probe(spec: CodecSpec, timeout: float = 30.0) -> ProbeResult:
     """Check that a codec spec is well-formed and its tool round-trips a smoke image."""
     try:
         spec.validate()
@@ -248,7 +245,7 @@ def probe(spec: CodecSpec, workdir: str | Path | None = None,
     )
     quality = spec.quality_ladder[0] if spec.kind is CodecKind.LOSSY else None
     try:
-        run_external(spec, smoke, quality=quality, workdir=workdir, timeout=timeout)
+        run_external(spec, smoke, quality=quality, timeout=timeout)
     except (CodecRunError, CodecIntegrityError, FormatError) as exc:
         return ProbeResult(spec.codec_id, ProbeStatus.DEGRADED, str(exc))
     return ProbeResult(spec.codec_id, ProbeStatus.AVAILABLE)

@@ -3,9 +3,11 @@
 A benchmark run is described by an INI-style config file::
 
     [dataset]
-    kind = synthetic            ; or "ingest" with directory = path/to/mptd
-    objects = apple, egg        ; default: all eight
-    poses = pinch, cylindrical  ; default: all four
+    ; or "ingest" with directory = path/to/mptd
+    kind = synthetic
+    ; default: all eight objects and all four poses
+    objects = apple, egg
+    poses = pinch, cylindrical
     reps = 10
     seed = 0
     sample_rate_hz = 100
@@ -14,8 +16,10 @@ A benchmark run is described by an INI-style config file::
     [run]
     codecs = tlc1, gzip
     tile_height = 256
-    jobs = 0                    ; 0 = logical CPU count
-    codec_specs =               ; optional path, else bundled templates
+    ; 0 = logical CPU count
+    jobs = 0
+    ; optional path, else bundled templates
+    codec_specs =
     bd_pairs = hm-intra:hm-scc
     quality_ladder.tlc1-lossy = 2, 4, 8, 16, 32, 64
 
@@ -30,7 +34,9 @@ A benchmark run is described by an INI-style config file::
     [output]
     directory = bench-out
 
-Every emitted CSV embeds the fully resolved config and tool versions as
+Comments go on lines of their own: a ``;`` after a value is part of it.
+Every key is optional, and ``CONFIG_KEYS`` lists them all.  Every emitted
+CSV embeds the fully resolved config and tool versions as
 ``#`` comment lines, contains no timestamps, and is written atomically, so
 identical configs and seeds produce byte-identical reports.
 """
@@ -134,40 +140,87 @@ class BenchConfig:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
     def resolved_items(self) -> list[tuple[str, str]]:
-        plan = ",".join(f"{d:g}" for d in self.plan.durations)
-        items = [
-            ("dataset.kind", self.dataset_kind),
-            ("dataset.objects", ",".join(self.objects)),
-            ("dataset.poses", ",".join(p.name.lower() for p in self.poses)),
-            ("dataset.reps", str(self.reps)),
-            ("dataset.seed", str(self.seed)),
-            ("dataset.sample_rate_hz", f"{self.sample_rate_hz:g}"),
-            ("dataset.plan_s", plan),
-            ("dataset.directory", self.ingest_directory),
-            ("run.codecs", ",".join(self.codecs)),
-            ("run.tile_height", str(self.tile_height)),
-            ("run.codec_specs", self.codec_specs_path),
-            ("run.bd_pairs", ",".join(f"{a}:{b}" for a, b in self.bd_pairs)),
-        ]
-        for cid in sorted(self.quality_ladders):
-            items.append(
-                (f"run.quality_ladder.{cid}",
-                 ",".join(str(q) for q in self.quality_ladders[cid]))
-            )
-        items += [
-            ("downstream.classifiers", ",".join(k.value for k in self.classifiers)),
-            ("downstream.codec", self.downstream_codec),
-            ("downstream.qualities", ",".join(str(q) for q in self.downstream_qualities)),
-            ("downstream.feature_height", str(self.feature_height)),
-            ("downstream.train_fraction", f"{self.train_fraction:g}"),
-            ("downstream.split_seed", str(self.split_seed)),
-            ("output.directory", self.output_directory),
-        ]
+        """The config as report-header ``(section.key, text)`` pairs, in
+        ``CONFIG_KEYS`` order; ``parse_config`` reads them back."""
+        items = []
+        for name, attr, _parse, show in CONFIG_KEYS:
+            value = getattr(self, attr)
+            if show is None:
+                continue
+            if name == _LADDER_KEY:
+                items += [(name + cid, show(value[cid])) for cid in sorted(value)]
+            else:
+                items.append((name, show(value)))
         return items
 
 
 def _split_list(raw: str) -> list[str]:
-    return [tok.strip() for tok in raw.replace(",", " ").split() if tok.strip()]
+    return raw.replace(",", " ").split()
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in _split_list(raw))
+
+
+def _plan(raw: str) -> PhasePlan:
+    durations = [float(t) for t in _split_list(raw)]
+    if len(durations) != 5:
+        raise ValueError("needs exactly 5 durations")
+    return PhasePlan(*durations)
+
+
+def _bd_pairs(raw: str) -> tuple[tuple[str, str], ...]:
+    pairs = []
+    for tok in _split_list(raw):
+        ref, sep, test = tok.partition(":")
+        if not sep:
+            raise ValueError(f"bd pair {tok!r} must look like ref:test")
+        pairs.append((ref, test))
+    return tuple(pairs)
+
+
+def _joined(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+_LADDER_KEY = "run.quality_ladder."  # one row for every run.quality_ladder.<codec id>
+
+# The config schema, in report-header order: (section.key, BenchConfig field,
+# parse(text) -> value, show(value) -> text).  ``run.jobs`` has no ``show``:
+# the worker count never changes a result.
+CONFIG_KEYS = (
+    ("dataset.kind", "dataset_kind", str.lower, str),
+    # objects split on commas only: names such as "water bottle" hold spaces
+    ("dataset.objects", "objects",
+     lambda raw: tuple(t.strip() for t in raw.split(",") if t.strip()), ",".join),
+    ("dataset.poses", "poses",
+     lambda raw: tuple(GraspPose[t.upper()] for t in _split_list(raw)),
+     lambda poses: ",".join(p.name.lower() for p in poses)),
+    ("dataset.reps", "reps", int, str),
+    ("dataset.seed", "seed", int, str),
+    ("dataset.sample_rate_hz", "sample_rate_hz", float, "{:g}".format),
+    ("dataset.plan_s", "plan", _plan,
+     lambda plan: ",".join(map("{:g}".format, plan.durations))),
+    ("dataset.directory", "ingest_directory", str, str),
+    ("run.codecs", "codecs", lambda raw: tuple(_split_list(raw)), ",".join),
+    ("run.tile_height", "tile_height", int, str),
+    ("run.jobs", "jobs", int, None),
+    ("run.codec_specs", "codec_specs_path", str, str),
+    ("run.bd_pairs", "bd_pairs", _bd_pairs,
+     lambda pairs: ",".join(f"{a}:{b}" for a, b in pairs)),
+    (_LADDER_KEY, "quality_ladders", _ints, _joined),
+    ("downstream.classifiers", "classifiers",
+     lambda raw: tuple(ClassifierKind(t.lower()) for t in _split_list(raw)),
+     lambda kinds: ",".join(k.value for k in kinds)),
+    ("downstream.codec", "downstream_codec", str, str),
+    ("downstream.qualities", "downstream_qualities", _ints, _joined),
+    ("downstream.feature_height", "feature_height", int, str),
+    ("downstream.train_fraction", "train_fraction", float, "{:g}".format),
+    ("downstream.split_seed", "split_seed", int, str),
+    ("output.directory", "output_directory", str, str),
+)
+_PARSERS = {name: (attr, parse) for name, attr, parse, _show in CONFIG_KEYS}
+_SECTIONS = {name.split(".", 1)[0] for name in _PARSERS}
 
 
 def load_config(path) -> BenchConfig:
@@ -179,90 +232,38 @@ def load_config(path) -> BenchConfig:
 
 
 def parse_config(text: str) -> BenchConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    """Parse an INI config (see the module docstring) against ``CONFIG_KEYS``.
+    Keys left out keep their ``BenchConfig`` defaults; an unknown section or
+    key, an unparsable value or a rejected config raises ``FormatError``."""
+    # no default section: a [DEFAULT] header is checked like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise FormatError(f"bad config: {exc}") from exc
-    return config_from_parser(parser)
-
-
-def config_from_parser(parser: configparser.ConfigParser) -> BenchConfig:
     kwargs = {}
-    ds = parser["dataset"] if parser.has_section("dataset") else {}
-    if "kind" in ds:
-        kwargs["dataset_kind"] = ds["kind"].strip().lower()
-    if "objects" in ds:
-        kwargs["objects"] = tuple(
-            tok.strip() for tok in ds["objects"].split(",") if tok.strip()
-        )
-    if "poses" in ds:
-        try:
-            kwargs["poses"] = tuple(GraspPose[t.upper()] for t in _split_list(ds["poses"]))
-        except KeyError as exc:
-            raise FormatError(f"unknown pose {exc}") from None
-    if "reps" in ds:
-        kwargs["reps"] = int(ds["reps"])
-    if "seed" in ds:
-        kwargs["seed"] = int(ds["seed"])
-    if "sample_rate_hz" in ds:
-        kwargs["sample_rate_hz"] = float(ds["sample_rate_hz"])
-    if "plan_s" in ds:
-        durations = [float(t) for t in _split_list(ds["plan_s"])]
-        if len(durations) != 5:
-            raise FormatError("plan_s needs exactly 5 durations")
-        kwargs["plan"] = PhasePlan(*durations)
-    if "directory" in ds:
-        kwargs["ingest_directory"] = ds["directory"].strip()
-
-    run = parser["run"] if parser.has_section("run") else {}
-    ladders = {}
-    for key in run:
-        if key.startswith("quality_ladder."):
-            cid = key[len("quality_ladder.") :]
-            ladders[cid] = tuple(int(t) for t in _split_list(run[key]))
-    if ladders:
-        kwargs["quality_ladders"] = ladders
-    if "codecs" in run:
-        kwargs["codecs"] = tuple(_split_list(run["codecs"]))
-    if "tile_height" in run:
-        kwargs["tile_height"] = int(run["tile_height"])
-    if "jobs" in run:
-        kwargs["jobs"] = int(run["jobs"])
-    if "codec_specs" in run:
-        kwargs["codec_specs_path"] = run["codec_specs"].strip()
-    if "bd_pairs" in run:
-        pairs = []
-        for tok in _split_list(run["bd_pairs"]):
-            if ":" not in tok:
-                raise FormatError(f"bd pair {tok!r} must look like ref:test")
-            ref, test = tok.split(":", 1)
-            pairs.append((ref.strip(), test.strip()))
-        kwargs["bd_pairs"] = tuple(pairs)
-
-    down = parser["downstream"] if parser.has_section("downstream") else {}
-    if "classifiers" in down:
-        try:
-            kwargs["classifiers"] = tuple(
-                ClassifierKind(t.lower()) for t in _split_list(down["classifiers"])
-            )
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
-    if "codec" in down:
-        kwargs["downstream_codec"] = down["codec"].strip()
-    if "qualities" in down:
-        kwargs["downstream_qualities"] = tuple(int(t) for t in _split_list(down["qualities"]))
-    if "feature_height" in down:
-        kwargs["feature_height"] = int(down["feature_height"])
-    if "train_fraction" in down:
-        kwargs["train_fraction"] = float(down["train_fraction"])
-    if "split_seed" in down:
-        kwargs["split_seed"] = int(down["split_seed"])
-
-    out = parser["output"] if parser.has_section("output") else {}
-    if "directory" in out:
-        kwargs["output_directory"] = out["directory"].strip()
-    return BenchConfig(**kwargs)
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise FormatError(f"unknown config section {section!r}")
+        for key, raw in parser.items(section):
+            name = f"{section}.{key}"
+            ladder = name.startswith(_LADDER_KEY)
+            row = _LADDER_KEY if ladder else name
+            if row not in _PARSERS:
+                raise FormatError(f"unknown config key {name!r}")
+            attr, parse = _PARSERS[row]
+            try:
+                value = parse(raw)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise FormatError(f"bad {name} value {raw!r}: {exc}") from None
+            if ladder:
+                kwargs.setdefault(attr, {})[name[len(_LADDER_KEY):]] = value
+            else:
+                kwargs[attr] = value
+    try:
+        return BenchConfig(**kwargs)
+    except ValueError as exc:
+        raise FormatError(f"bad config: {exc}") from None
 
 
 def _trace_seed(base_seed: int, obj: str, pose: GraspPose, rep: int) -> int:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 codec error.
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -226,19 +227,10 @@ def _cmd_probe_codecs(args):
 
 
 def _bench_config(args) -> bench.BenchConfig:
-    if args.config:
-        config = bench.load_config(args.config)
-    else:
-        config = bench.BenchConfig()
-    if args.out:
-        config = bench.BenchConfig(
-            **{**config.__dict__, "output_directory": args.out}
-        )
-    if args.jobs is not None:
-        config = bench.BenchConfig(**{**config.__dict__, "jobs": args.jobs})
-    if args.seed is not None:
-        config = bench.BenchConfig(**{**config.__dict__, "seed": args.seed})
-    return config
+    config = bench.load_config(args.config) if args.config else bench.BenchConfig()
+    overrides = {"output_directory": args.out or None, "jobs": args.jobs, "seed": args.seed}
+    return dataclasses.replace(
+        config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_bench_lossless(args):
@@ -254,7 +246,7 @@ def _cmd_bench_lossy(args):
     if args.config is None:  # the default codecs are lossless: use TLC1's lossy one
         lossy = tuple(cid for cid, entry in bench.TLC1_CODECS.items()
                       if entry.kind is CodecKind.LOSSY)
-        config = bench.BenchConfig(**{**config.__dict__, "codecs": lossy})
+        config = dataclasses.replace(config, codecs=lossy)
     report = bench.run_lossy_suite(config)
     for path in bench.write_lossy_report(report, config.output_directory):
         print(path)

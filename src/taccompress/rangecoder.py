@@ -30,11 +30,12 @@ dead-zone uniform quantizer with step ``qp`` (zero bin width 2*qp) that
 reconstructs at the bin floor (``rhat = q*qp``): floor reconstruction
 never overshoots the true residual, which keeps both rate and distortion
 monotone in the step size on DPCM loops over noisy near-flat signals.
-The zigzag-mapped index is coded with a 9-level tree.  When the dequantized
-residual would push the reconstruction past 0 or 255 the encoder
-re-canonicalizes the index to the smallest magnitude that still clamps to
-the same boundary, which makes re-encoding a decoded image reproduce it
-exactly.
+The zigzag-mapped index is coded with a 9-level tree.  The reconstruction
+``pred + rhat`` always lies in 0..255 without clamping: the MED prediction
+lies between two reconstructed neighbours, and the floor quantizer moves the
+reconstruction from the prediction towards the source, never past it.  The
+decoder still clamps, so that a hostile payload cannot write a value outside
+a byte.
 
 There is one backend, plain Python, shaped for the interpreter:
 
@@ -176,17 +177,7 @@ def _lossy_rows(pixels, qp, recon):
                 pred = a + b - cc
                 act = a - b
             dq, value = quant[xs[j] - pred]
-            y = pred + dq
-            # past a boundary, the smallest index that still clamps to it
-            if y > 255:
-                q = max(1, (255 - pred + qp - 1) // qp)
-                value = 2 * q
-                y = 255
-            elif y < 0:
-                q = -max(1, (pred + qp - 1) // qp)
-                value = -2 * q - 1
-                y = 0
-            cur[j + channels] = y
+            cur[j + channels] = pred + dq
             keys[j] = ((channel_ctx[j] + bucket_of[act]) << levels) | value
         recon[t * rowlen:(t + 1) * rowlen] = cur[channels:]
         prev, first = cur, False

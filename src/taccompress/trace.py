@@ -166,12 +166,17 @@ def load_trace(source) -> GraspTrace:
     )
     if version != MPTD_VERSION:
         raise FormatError(f"unsupported MPTD version {version}")
+    if rate_mhz == 0:
+        raise FormatError("sample rate is zero")
     try:
         pose = GraspPose(pose_code)
     except ValueError:
         raise FormatError(f"unknown pose code {pose_code}") from None
     (label_len,) = struct.unpack("<B", _read_exact(source, 1, "label length"))
-    label = _read_exact(source, label_len, "object label").decode("utf-8")
+    try:
+        label = _read_exact(source, label_len, "object label").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"object label is not UTF-8: {exc}") from None
     (finger_count,) = struct.unpack("<B", _read_exact(source, 1, "finger count"))
     if finger_count == 0:
         raise FormatError("layout has no fingers")

@@ -1,7 +1,11 @@
+import dataclasses
+import itertools
 import shutil
+import textwrap
 
 import numpy as np
 import pytest
+from test_golden import DOWNSTREAM, LOSSLESS, LOSSY
 
 from taccompress import bench, codec
 from taccompress.analysis import ClassifierKind
@@ -71,6 +75,25 @@ class TestConfig:
     def test_requires_a_codec(self):
         with pytest.raises(ValueError):
             bench.BenchConfig(codecs=())
+
+    @pytest.mark.parametrize("config", [bench.BenchConfig(), LOSSLESS, LOSSY, DOWNSTREAM],
+                             ids=["default", "lossless", "lossy", "downstream"])
+    def test_report_header_parses_back_to_the_config(self, config):
+        sections = {}
+        for name, value in config.resolved_items():
+            section, key = name.split(".", 1)
+            sections.setdefault(section, []).append(f"{key} = {value}\n")
+        text = "".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
+        assert bench.parse_config(text) == dataclasses.replace(config, jobs=0)
+
+    def test_module_docstring_example_parses(self):
+        lines = bench.__doc__.split("::\n", 1)[1].splitlines()
+        example = itertools.takewhile(lambda line: not line or line.startswith(" "), lines)
+        config = bench.parse_config(textwrap.dedent("\n".join(example)))
+        assert config.objects == ("apple", "egg")
+        assert config.codecs == ("tlc1", "gzip")
+        assert config.quality_ladders == {"tlc1-lossy": (2, 4, 8, 16, 32, 64)}
+        assert config.output_directory == "bench-out"
 
 
 class TestCorpus:

@@ -110,8 +110,9 @@ def test_blob_with_four_channels_exits_2(tmp_path):
     assert cli.main(["decompress", str(blob), str(tmp_path / "out.ppm")]) == 2
 
 
-@pytest.mark.parametrize("text", ["no section header\n", "[dataset]\nposes = fist\n"],
-                         ids=["no-section", "bad-pose"])
+@pytest.mark.parametrize("text", ["no section header\n", "[dataset]\nposes = fist\n",
+                                  "[run]\ncodec = gzip\n", "[dataset]\nreps = two\n"],
+                         ids=["no-section", "bad-pose", "unknown-key", "bad-int"])
 def test_malformed_config_exits_2(tmp_path, text):
     path = tmp_path / "bad.ini"
     path.write_text(text)

@@ -1,16 +1,20 @@
 """Property tests for the TLC1 codec: round trips, idempotence, hostile input,
-and bit-exactness against a per-sample reference coder."""
+and bit-exactness against a per-sample reference coder.  Hostile input also
+goes to the other parsers: MPTD containers, PPM streams and bench configs."""
 
+import io
 import struct
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from taccompress import codec, rangecoder
+from taccompress import bench, codec, rangecoder
 from taccompress.errors import CodecIntegrityError, FormatError
-from taccompress.imaging import TactileImage
+from taccompress.imaging import TactileImage, ppm_bytes, read_ppm
+from taccompress.layout import FingerLayout, SensorLayout, SensorPosition, SensorSpec
+from taccompress.trace import GraspTrace, load_trace, save_trace
 
 SETTINGS = settings(max_examples=60, deadline=None)
 ONE, SHIFT, TOP, MASK32 = 1 << 15, 5, 1 << 24, 0xFFFFFFFF
@@ -58,6 +62,67 @@ def test_arbitrary_bytes_raise_only_format_or_integrity_errors(data):
         pass
 
 
+def _mutated(valid: bytes):
+    """A valid encoding with some bytes overwritten and its tail cut."""
+    def build(edits, cut):
+        data = bytearray(valid)
+        for i, byte in edits:
+            data[i] = byte
+        return bytes(data[:cut])
+
+    return st.builds(
+        build,
+        st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)), max_size=4),
+        st.integers(0, len(valid)),
+    )
+
+
+_layout = SensorLayout((FingerLayout(0, (SensorSpec(SensorPosition.DISTAL, 2),)),))
+_mptd = io.BytesIO()
+save_trace(GraspTrace(_layout, np.full((2, 2, 3), 7, np.uint8), object_label="egg"), _mptd)
+MPTD = _mptd.getvalue()
+RATE_AT, LABEL_AT = 6, 14  # byte offsets of the sample rate and of the object label
+
+
+@SETTINGS
+@given(st.one_of(st.binary(max_size=64), _mutated(MPTD)))
+@example(MPTD[:LABEL_AT] + b"\xff" + MPTD[LABEL_AT + 1:])
+@example(MPTD[:RATE_AT] + bytes(4) + MPTD[RATE_AT + 4:])
+def test_arbitrary_bytes_to_load_trace_raise_only_format_errors(data):
+    try:
+        load_trace(data)
+    except FormatError:
+        pass
+
+
+@SETTINGS
+@given(st.one_of(st.binary(max_size=64),
+                 _mutated(ppm_bytes(TactileImage(np.full((2, 3, 3), 9, np.uint8))))))
+def test_arbitrary_bytes_to_read_ppm_raise_only_format_errors(data):
+    try:
+        read_ppm(data)
+    except FormatError:
+        pass
+
+
+_config_keys = sorted({name.split(".", 1)[1] for name, *_ in bench.CONFIG_KEYS})
+_config_lines = st.one_of(
+    st.sampled_from(["[dataset]", "[run]", "[downstream]", "[output]", "[DEFAULT]", "[x]"]),
+    st.builds("{} = {}".format, st.sampled_from(_config_keys + ["quality_ladder.x", "codec"]),
+              st.text("0123456789.,-: abegknpt", max_size=12) | st.text(max_size=12)),
+    st.text(max_size=12),
+)
+
+
+@SETTINGS
+@given(st.one_of(st.text(), st.lists(_config_lines, max_size=10).map("\n".join)))
+def test_arbitrary_config_text_raises_only_format_errors(text):
+    try:
+        bench.parse_config(text)
+    except FormatError:
+        pass
+
+
 # The reference coder: one sample at a time over numpy scalars, with the MED
 # predictor, quantizer and carry handling written out as the format describes.
 def _predict(recon, t, u, c):
@@ -100,10 +165,7 @@ def reference_encode(pixels, mode, qp):
         else:
             q = (x - pred) // qp if x >= pred else -((pred - x) // qp)
             y = pred + q * qp
-            if y > 255:
-                q, y = max(1, (255 - pred + qp - 1) // qp), 255
-            elif y < 0:
-                q, y = -max(1, (pred + qp - 1) // qp), 0
+            assert 0 <= y <= 255  # the floor quantizer never passes the source
             value, recon[t, u, c] = (2 * q if q >= 0 else -2 * q - 1), y
         node, base = 1, (c * 3 + bucket) << levels
         for k in range(levels - 1, -1, -1):
