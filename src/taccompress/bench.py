@@ -45,10 +45,11 @@ import configparser
 import csv
 import hashlib
 import io
+import itertools
 import math
 import os
 import tempfile
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,7 +81,6 @@ from .metrics import (
     compression_ratio,
     format_metric,
     ms_ssim,
-    psnr,
 )
 from .simulate import OBJECT_NAMES, PhasePlan, default_profiles, generate_trace
 from .trace import GraspTrace, load_trace
@@ -133,8 +133,21 @@ class BenchConfig:
             raise ValueError("at least one codec required")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ValueError(f"sample_rate_hz must be finite and > 0, not {self.sample_rate_hz}")
         if self.tile_height < 1:
             raise ValueError("tile_height must be positive")
+        qps = list(self.quality_ladders.get(native.CODEC_ID_LOSSY, ()))
+        if self.downstream_codec == native.CODEC_ID_LOSSY:
+            qps += self.downstream_qualities
+        bad = [qp for qp in qps if not native.QP_MIN <= qp <= native.QP_MAX]
+        if bad:
+            raise ValueError(f"{native.CODEC_ID_LOSSY} qualities {bad} outside "
+                             f"{native.QP_MIN}..{native.QP_MAX}")
+        if self.feature_height < 1:
+            raise ValueError("feature_height must be >= 1")
+        if not 0 < self.train_fraction < 1:
+            raise ValueError(f"train_fraction must lie in (0, 1), not {self.train_fraction}")
 
     def worker_count(self) -> int:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
@@ -241,25 +254,33 @@ def parse_config(text: str) -> BenchConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise FormatError(f"bad config: {exc}") from exc
-    kwargs = {}
+    items = []
     for section in parser.sections():
         if section not in _SECTIONS:
             raise FormatError(f"unknown config section {section!r}")
-        for key, raw in parser.items(section):
-            name = f"{section}.{key}"
-            ladder = name.startswith(_LADDER_KEY)
-            row = _LADDER_KEY if ladder else name
-            if row not in _PARSERS:
-                raise FormatError(f"unknown config key {name!r}")
-            attr, parse = _PARSERS[row]
-            try:
-                value = parse(raw)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise FormatError(f"bad {name} value {raw!r}: {exc}") from None
-            if ladder:
-                kwargs.setdefault(attr, {})[name[len(_LADDER_KEY):]] = value
-            else:
-                kwargs[attr] = value
+        items += [(f"{section}.{key}", raw) for key, raw in parser.items(section)]
+    return config_from_items(items)
+
+
+def config_from_items(items, **fields) -> BenchConfig:
+    """A ``BenchConfig`` from ``fields`` and the ``(section.key, text)`` pairs
+    in ``items``, parsed through ``CONFIG_KEYS``; an unknown key, an
+    unparsable value or a rejected config raises ``FormatError``."""
+    kwargs = dict(fields)
+    for name, raw in items:
+        ladder = name.startswith(_LADDER_KEY)
+        row = _LADDER_KEY if ladder else name
+        if row not in _PARSERS:
+            raise FormatError(f"unknown config key {name!r}")
+        attr, parse = _PARSERS[row]
+        try:
+            value = parse(raw)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"bad {name} value {raw!r}: {exc}") from None
+        if ladder:
+            kwargs.setdefault(attr, {})[name[len(_LADDER_KEY):]] = value
+        else:
+            kwargs[attr] = value
     try:
         return BenchConfig(**kwargs)
     except ValueError as exc:
@@ -273,42 +294,36 @@ def _trace_seed(base_seed: int, obj: str, pose: GraspPose, rep: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def build_corpus(config: BenchConfig) -> list[GraspTrace]:
-    """Materialize the benchmark traces, synthetic or ingested."""
+def iter_corpus(config: BenchConfig) -> Iterator[GraspTrace]:
+    """Yield the benchmark traces, synthetic or ingested, one at a time."""
     if config.dataset_kind == "ingest":
         directory = Path(config.ingest_directory)
         files = sorted(directory.glob("*.mptd"))
         if not files:
             raise FormatError(f"ingest directory has no .mptd files: {directory}")
-        return [load_trace(f) for f in files]
+        for f in files:
+            yield load_trace(f)
+        return
     profiles = {p.name: p for p in default_profiles()}
     unknown = [o for o in config.objects if o not in profiles]
     if unknown:
         raise ValueError(f"unknown objects: {unknown}")
-    corpus = []
-    for obj in config.objects:
-        for pose in config.poses:
-            for rep in range(config.reps):
-                corpus.append(
-                    generate_trace(
-                        profiles[obj],
-                        pose,
-                        config.plan,
-                        sample_rate_hz=config.sample_rate_hz,
-                        seed=_trace_seed(config.seed, obj, pose, rep),
-                        repetition_id=rep,
-                    )
-                )
-    return corpus
+    for obj, pose, rep in itertools.product(config.objects, config.poses, range(config.reps)):
+        yield generate_trace(profiles[obj], pose, config.plan,
+                             sample_rate_hz=config.sample_rate_hz,
+                             seed=_trace_seed(config.seed, obj, pose, rep), repetition_id=rep)
+
+
+def build_corpus(config: BenchConfig) -> list[GraspTrace]:
+    """Materialize the benchmark traces, synthetic or ingested."""
+    return list(iter_corpus(config))
 
 
 @dataclass
 class TraceResult:
-    object_label: str
-    pose: GraspPose
-    repetition: int
-    codec_id: str
-    quality: int | None
+    """What coding one trace measured; the caller holds the (trace, codec,
+    quality) item it asked for."""
+
     bits: int
     sub_samples: int
     mse_sum: float          # sum of squared errors over all samples
@@ -430,18 +445,7 @@ class CodecRunner:
         recon_image = (
             TactileImage(np.vstack(recon_tiles)) if keep_recon else None
         )
-        return TraceResult(
-            object_label=trace.object_label,
-            pose=trace.pose_label,
-            repetition=trace.repetition_id,
-            codec_id=codec_id,
-            quality=quality,
-            bits=bits,
-            sub_samples=trace.sub_sample_count,
-            mse_sum=mse_sum,
-            msssim_weighted=msssim_weighted,
-            recon=recon_image,
-        )
+        return TraceResult(bits, trace.sub_sample_count, mse_sum, msssim_weighted, recon_image)
 
 
 def _parallel_results(items, worker, jobs: int):
@@ -458,16 +462,11 @@ def _mean(values) -> float:
 
 @dataclass
 class BenchReport:
-    kind: str
     header: list[tuple[str, str]]
-    cells: list[dict]
-    object_marginals: dict
-    pose_marginals: dict
-    codec_marginals: dict
+    cells: list[dict] = field(default_factory=list)
     skipped: list[ProbeResult] = field(default_factory=list)
     rd_curves: dict = field(default_factory=dict)
     bd_rows: list[dict] = field(default_factory=list)
-    total_bits: int = 0
     accuracy_rows: list[dict] = field(default_factory=list)
 
 
@@ -495,10 +494,8 @@ def run_lossless_suite(config: BenchConfig, corpus=None) -> BenchReport:
     )
 
     by_cell = {}
-    total_bits = 0
-    for res in results:
-        by_cell.setdefault((res.object_label, res.pose, res.codec_id), []).append(res)
-        total_bits += res.bits
+    for (trace, cid), res in zip(items, results):
+        by_cell.setdefault((trace.object_label, trace.pose_label, cid), []).append(res)
 
     cells = []
     for (obj, pose, cid) in sorted(by_cell, key=lambda k: (k[0], k[1].value, k[2])):
@@ -509,39 +506,13 @@ def run_lossless_suite(config: BenchConfig, corpus=None) -> BenchReport:
                 "object": obj,
                 "pose": pose.name.lower(),
                 "codec": cid,
-                "quality": "",
                 "bpss": mean_bpss,
                 "cr": compression_ratio(mean_bpss),
                 "traces": len(group),
                 "bits": sum(r.bits for r in group),
             }
         )
-
-    objects = sorted({c["object"] for c in cells})
-    poses = sorted({c["pose"] for c in cells})
-    object_marginals = {
-        (obj, cid): _mean(c["bpss"] for c in cells if c["object"] == obj and c["codec"] == cid)
-        for obj in objects
-        for cid in table
-    }
-    pose_marginals = {
-        (pose, cid): _mean(c["bpss"] for c in cells if c["pose"] == pose and c["codec"] == cid)
-        for pose in poses
-        for cid in table
-    }
-    codec_marginals = {
-        cid: _mean(c["bpss"] for c in cells if c["codec"] == cid) for cid in table
-    }
-    return BenchReport(
-        kind="lossless",
-        header=_report_header(config),
-        cells=cells,
-        object_marginals=object_marginals,
-        pose_marginals=pose_marginals,
-        codec_marginals=codec_marginals,
-        skipped=skipped,
-        total_bits=total_bits,
-    )
+    return BenchReport(header=_report_header(config), cells=cells, skipped=skipped)
 
 
 def run_lossy_suite(config: BenchConfig, corpus=None) -> BenchReport:
@@ -568,15 +539,12 @@ def run_lossy_suite(config: BenchConfig, corpus=None) -> BenchReport:
     )
 
     pooled = {}
-    total_bits = 0
-    for res in results:
-        key = (res.codec_id, res.quality)
-        agg = pooled.setdefault(key, {"bits": 0, "samples": 0, "mse": 0.0, "mss": 0.0})
+    for (_trace, cid, quality), res in zip(items, results):
+        agg = pooled.setdefault((cid, quality), {"bits": 0, "samples": 0, "mse": 0.0, "mss": 0.0})
         agg["bits"] += res.bits
         agg["samples"] += res.sub_samples
         agg["mse"] += res.mse_sum
         agg["mss"] += res.msssim_weighted
-        total_bits += res.bits
 
     cells = []
     curve_points = {}
@@ -637,18 +605,8 @@ def run_lossy_suite(config: BenchConfig, corpus=None) -> BenchReport:
                 }
             )
 
-    return BenchReport(
-        kind="lossy",
-        header=_report_header(config),
-        cells=cells,
-        object_marginals={},
-        pose_marginals={},
-        codec_marginals={},
-        skipped=skipped,
-        rd_curves=rd_curves,
-        bd_rows=bd_rows,
-        total_bits=total_bits,
-    )
+    return BenchReport(header=_report_header(config), cells=cells, skipped=skipped,
+                       rd_curves=rd_curves, bd_rows=bd_rows)
 
 
 def run_downstream_suite(config: BenchConfig, corpus=None) -> BenchReport:
@@ -690,15 +648,7 @@ def run_downstream_suite(config: BenchConfig, corpus=None) -> BenchReport:
                                  [r.recon for r in results]))
 
     rows.sort(key=lambda r: -r["bpss"])  # raw (8.0) first, then descending rate
-    return BenchReport(
-        kind="downstream",
-        header=_report_header(config),
-        cells=[],
-        object_marginals={},
-        pose_marginals={},
-        codec_marginals={},
-        accuracy_rows=rows,
-    )
+    return BenchReport(header=_report_header(config), accuracy_rows=rows)
 
 
 def _atomic_write(path: Path, text: str):
@@ -735,7 +685,7 @@ def _header_lines(report: BenchReport) -> list[str]:
 def write_lossless_report(report: BenchReport, out_dir) -> list[Path]:
     out = Path(out_dir)
     header = _header_lines(report)
-    codecs = sorted(report.codec_marginals)
+    codecs = sorted({c["codec"] for c in report.cells})
 
     cell_rows = [
         [c["object"], c["pose"], c["codec"], c["traces"], c["bits"],
@@ -747,27 +697,19 @@ def write_lossless_report(report: BenchReport, out_dir) -> list[Path]:
         header, ["object", "pose", "codec", "traces", "bits", "bpss", "cr"], cell_rows
     ))
 
-    objects = sorted({k[0] for k in report.object_marginals})
-    poses = sorted({k[0] for k in report.pose_marginals})
-    table_rows = []
-    for obj in objects:
-        table_rows.append(
-            ["object", obj]
-            + [format_metric(report.object_marginals[(obj, cid)]) for cid in codecs]
-        )
-    for pose in poses:
-        table_rows.append(
-            ["pose", pose]
-            + [format_metric(report.pose_marginals[(pose, cid)]) for cid in codecs]
-        )
-    table_rows.append(
-        ["average", "bpss"]
-        + [format_metric(report.codec_marginals[cid]) for cid in codecs]
-    )
-    table_rows.append(
-        ["average", "cr"]
-        + [format_metric(compression_ratio(report.codec_marginals[cid])) for cid in codecs]
-    )
+    def mean_bpss(key=None, name=None):  # per codec, over the matching cells
+        return [_mean(c["bpss"] for c in report.cells
+                      if c["codec"] == cid and (key is None or c[key] == name))
+                for cid in codecs]
+
+    table_rows = [
+        [key, name] + [format_metric(v) for v in mean_bpss(key, name)]
+        for key in ("object", "pose")
+        for name in sorted({c[key] for c in report.cells})
+    ]
+    average = mean_bpss()
+    table_rows.append(["average", "bpss"] + [format_metric(v) for v in average])
+    table_rows.append(["average", "cr"] + [format_metric(compression_ratio(v)) for v in average])
     table_path = out / "lossless_table.csv"
     _atomic_write(table_path, _csv_text(header, ["kind", "name"] + codecs, table_rows))
     return [cells_path, table_path]

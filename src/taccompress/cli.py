@@ -38,7 +38,7 @@ from .metrics import (
     ms_ssim,
     psnr,
 )
-from .simulate import OBJECT_NAMES, PhasePlan, default_profiles, generate_trace
+from .simulate import PhasePlan
 from .trace import load_trace, save_trace
 
 EXIT_OK = 0
@@ -72,40 +72,20 @@ def _load_image(path: Path):
 
 
 def _cmd_simulate(args):
-    # Not bench.build_corpus: that holds the whole corpus in memory, while
-    # this writes each trace as soon as it is generated.
-    objects = args.objects.split(",") if args.objects != "all" else list(OBJECT_NAMES)
-    poses = (
-        [_pose_of(t) for t in args.poses.split(",")]
-        if args.poses != "all"
-        else list(GraspPose)
-    )
-    plan = (
-        PhasePlan(*[float(t) for t in args.plan.split(",")])
-        if args.plan
-        else PhasePlan()
-    )
-    profiles = {p.name: p for p in default_profiles()}
-    seed = bench.BenchConfig().seed if args.seed is None else args.seed
+    items = (("dataset.objects", args.objects), ("dataset.poses", args.poses),
+             ("dataset.plan_s", args.plan))
+    fields = {"reps": args.reps, "sample_rate_hz": args.rate, "plan": PhasePlan(),
+              "seed": args.seed}
+    config = bench.config_from_items(
+        [(name, raw) for name, raw in items if raw not in (None, "all")],
+        **{k: v for k, v in fields.items() if v is not None})
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for obj in objects:
-        obj = obj.strip()
-        if obj not in profiles:
-            raise FormatError(f"unknown object {obj!r}")
-        for pose in poses:
-            for rep in range(args.reps):
-                trace = generate_trace(
-                    profiles[obj],
-                    pose,
-                    plan,
-                    sample_rate_hz=args.rate,
-                    seed=bench._trace_seed(seed, obj, pose, rep),
-                    repetition_id=rep,
-                )
-                name = f"{_slug(obj)}_{pose.name.lower()}_{rep}.mptd"
-                save_trace(trace, out_dir / name)
-                print(name)
+    for trace in bench.iter_corpus(config):
+        name = (f"{_slug(trace.object_label)}_{trace.pose_label.name.lower()}"
+                f"_{trace.repetition_id}.mptd")
+        save_trace(trace, out_dir / name)
+        print(name)
     return EXIT_OK
 
 
@@ -183,6 +163,8 @@ def _read_curve(path: Path, codec_id: str) -> RDCurve:
     points = []
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    if not rows:
+        raise FormatError(f"{path}: no header row")
     header = [c.strip().lower() for c in rows[0]]
     try:
         bi = header.index("bpss")
@@ -191,6 +173,8 @@ def _read_curve(path: Path, codec_id: str) -> RDCurve:
     except ValueError:
         raise FormatError(f"{path}: need bpss, psnr_db, ms_ssim columns") from None
     for row in rows[1:]:
+        if len(row) < len(header):
+            raise FormatError(f"{path}: row {row} is shorter than the header")
         points.append(
             RDPoint(
                 bpss=float(row[bi]),
@@ -233,30 +217,22 @@ def _bench_config(args) -> bench.BenchConfig:
         config, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _cmd_bench_lossless(args):
-    config = _bench_config(args)
-    report = bench.run_lossless_suite(config)
-    for path in bench.write_lossless_report(report, config.output_directory):
-        print(path)
-    return EXIT_OK
+_BENCH_SUITES = {
+    "bench-lossless": (bench.run_lossless_suite, bench.write_lossless_report),
+    "bench-lossy": (bench.run_lossy_suite, bench.write_lossy_report),
+    "bench-downstream": (bench.run_downstream_suite, bench.write_downstream_report),
+}
 
 
-def _cmd_bench_lossy(args):
+def _cmd_bench(args):
     config = _bench_config(args)
-    if args.config is None:  # the default codecs are lossless: use TLC1's lossy one
+    if args.command == "bench-lossy" and args.config is None:
+        # the default codecs are lossless: use TLC1's lossy one
         lossy = tuple(cid for cid, entry in bench.TLC1_CODECS.items()
                       if entry.kind is CodecKind.LOSSY)
         config = dataclasses.replace(config, codecs=lossy)
-    report = bench.run_lossy_suite(config)
-    for path in bench.write_lossy_report(report, config.output_directory):
-        print(path)
-    return EXIT_OK
-
-
-def _cmd_bench_downstream(args):
-    config = _bench_config(args)
-    report = bench.run_downstream_suite(config)
-    for path in bench.write_downstream_report(report, config.output_directory):
+    run, write = _BENCH_SUITES[args.command]
+    for path in write(run(config), config.output_directory):
         print(path)
     return EXIT_OK
 
@@ -350,13 +326,9 @@ def build_parser() -> _Parser:
     p.add_argument("--codecs", default=None, help="comma-separated codec ids")
     p.set_defaults(func=_cmd_probe_codecs)
 
-    for name, fn in (
-        ("bench-lossless", _cmd_bench_lossless),
-        ("bench-lossy", _cmd_bench_lossy),
-        ("bench-downstream", _cmd_bench_downstream),
-    ):
+    for name in _BENCH_SUITES:
         p = sub.add_parser(name, help=f"run the {name.replace('-', ' ')} suite")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("cluster", help="t-SNE + k-means clustering of a corpus")
     p.add_argument("--perplexity", type=float, default=20.0)

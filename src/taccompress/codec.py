@@ -67,36 +67,30 @@ class CompressedBlob:
         return self.width * self.height * self.channels
 
 
-def encode_lossless(image: TactileImage) -> CompressedBlob:
-    """Losslessly compress an image; decoding reproduces it bit-exactly."""
-    payload, recon = rangecoder.encode_image(
-        image.pixels, rangecoder.MODE_LOSSLESS, 1
-    )
+def _encode(image: TactileImage, mode: int, qp: int) -> CompressedBlob:
+    payload, recon = rangecoder.encode_image(image.pixels, mode, qp)
+    lossy = mode == rangecoder.MODE_LOSSY
     return CompressedBlob(
-        codec_id=CODEC_ID_LOSSLESS,
+        codec_id=CODEC_ID_LOSSY if lossy else CODEC_ID_LOSSLESS,
         width=image.width,
         height=image.height,
         channels=image.channels,
         payload=payload,
-        quality=None,
+        quality=qp if lossy else None,
         checksum=zlib.crc32(recon.tobytes()),
     )
+
+
+def encode_lossless(image: TactileImage) -> CompressedBlob:
+    """Losslessly compress an image; decoding reproduces it bit-exactly."""
+    return _encode(image, rangecoder.MODE_LOSSLESS, 1)
 
 
 def encode_lossy(image: TactileImage, qp: int) -> CompressedBlob:
     """DPCM + dead-zone quantization; qp=1 degenerates to bit-exact."""
     if not QP_MIN <= qp <= QP_MAX:
         raise ValueError(f"qp must be in [{QP_MIN}, {QP_MAX}], got {qp}")
-    payload, recon = rangecoder.encode_image(image.pixels, rangecoder.MODE_LOSSY, qp)
-    return CompressedBlob(
-        codec_id=CODEC_ID_LOSSY,
-        width=image.width,
-        height=image.height,
-        channels=image.channels,
-        payload=payload,
-        quality=qp,
-        checksum=zlib.crc32(recon.tobytes()),
-    )
+    return _encode(image, rangecoder.MODE_LOSSY, qp)
 
 
 def _decode(blob: CompressedBlob, mode: int, qp: int) -> TactileImage:

@@ -13,6 +13,8 @@ from enum import Enum
 import numpy as np
 from scipy import ndimage
 
+from .layout import AXIS_COUNT
+
 PEAK = 255.0
 
 # 5-scale MS-SSIM constants: 11-tap Gaussian window, sigma 1.5, the classic
@@ -84,7 +86,7 @@ def bandwidth_bits_per_second(
     sample_rate_hz: float, total_units: int, bpss_value: float = 8.0
 ) -> float:
     """Channel rate of a unit stream at the given bits per sub-sample."""
-    return sample_rate_hz * total_units * 3 * bpss_value
+    return sample_rate_hz * total_units * AXIS_COUNT * bpss_value
 
 
 def _as_planes(image) -> np.ndarray:

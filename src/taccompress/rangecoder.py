@@ -56,6 +56,8 @@ import math
 
 import numpy as np
 
+from .layout import AXIS_COUNT, REST_CODES
+
 HAVE_NUMBA = False  # the kernels are plain Python; kept for callers that report the backend
 
 PROB_BITS = 15
@@ -69,7 +71,6 @@ MODE_LOSSLESS = 0
 MODE_LOSSY = 1
 
 N_BUCKETS = 3
-CHANNELS = 3
 
 # A sample codes at least 8 tree bits, each costing at least
 # log2(32768/32737) (probabilities never leave [31, 32737]).
@@ -100,25 +101,24 @@ _PROBS = list(range(PROB_ONE + 1))
 _AFTER0 = [_PROBS[p + ((PROB_ONE - p) >> ADAPT_SHIFT)] for p in _PROBS]
 _AFTER1 = [_PROBS[p - (p >> ADAPT_SHIFT)] for p in _PROBS]
 del _PROBS
-_REST = (128, 128, 0)  # prediction of a channel's very first sample
 
 
 def _fresh_contexts(mode):
     """One probability list per (channel, bucket) context."""
     size = 1 << _LEVELS[mode]
-    return [[PROB_INIT] * size for _ in range(CHANNELS * N_BUCKETS)]
+    return [[PROB_INIT] * size for _ in range(AXIS_COUNT * N_BUCKETS)]
 
 
 def _lossless_rows(pixels):
     """Each row's context-and-residual keys, predicted from the source itself
     (in lossless mode it is the reconstruction)."""
-    base = np.arange(CHANNELS, dtype=np.int16) * N_BUCKETS
+    base = np.arange(AXIS_COUNT, dtype=np.int16) * N_BUCKETS
     prev = None
     for row in pixels.astype(np.int16):
         pred = np.empty_like(row)
         bucket = np.zeros_like(row)
         if prev is None:
-            pred[0] = _REST
+            pred[0] = REST_CODES
             pred[1:] = row[:-1]
         else:
             pred[0] = prev[0]
@@ -151,7 +151,7 @@ def _lossy_rows(pixels, qp, recon):
         # stand in for column 0, which predicts from above (or the rest code).
         cur = [0] * (rowlen + channels)
         if first:
-            cur[:channels] = _REST
+            cur[:channels] = REST_CODES
         else:
             # column 0 predicts from above: its left and up-left read the up sample
             cur[:channels] = prev[:channels] = prev[channels:2 * channels]
@@ -268,7 +268,7 @@ def decode_image(payload: bytes, height: int, width: int, channels: int,
     for t in range(height):
         cur = [0] * (rowlen + channels)
         if first:
-            cur[:channels] = _REST
+            cur[:channels] = REST_CODES
         else:
             # column 0 predicts from above: its left and up-left read the up sample
             cur[:channels] = prev[:channels] = prev[channels:2 * channels]

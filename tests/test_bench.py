@@ -27,6 +27,16 @@ SMALL = dict(
 )
 
 
+def mean_bpss(cells, codec_id, **match):
+    values = [c["bpss"] for c in cells
+              if c["codec"] == codec_id and all(c[k] == v for k, v in match.items())]
+    return sum(values) / len(values)
+
+
+def codecs_of(report):
+    return {c["codec"] for c in report.cells}
+
+
 @pytest.fixture(scope="module")
 def small_lossless_report():
     config = bench.BenchConfig(**SMALL, codecs=("tlc1",))
@@ -71,6 +81,19 @@ class TestConfig:
     def test_bad_pose_rejected(self):
         with pytest.raises(FormatError):
             bench.parse_config("[dataset]\nposes = fist\n")
+
+    @pytest.mark.parametrize("text", [
+        "[dataset]\nsample_rate_hz = nan\n",
+        "[dataset]\nsample_rate_hz = 0\n",
+        "[run]\nquality_ladder.tlc1-lossy = 2, 300\n",
+        "[downstream]\nqualities = 8, 0\n",
+        "[downstream]\nfeature_height = 0\n",
+        "[downstream]\ntrain_fraction = 1.5\n",
+    ], ids=["nan-rate", "zero-rate", "ladder-qp", "downstream-qp", "feature-height",
+            "train-fraction"])
+    def test_out_of_range_values_rejected_at_parse_time(self, text):
+        with pytest.raises(FormatError):
+            bench.parse_config(text)
 
     def test_requires_a_codec(self):
         with pytest.raises(ValueError):
@@ -137,16 +160,20 @@ class TestLosslessSuite:
         for cell in report.cells:
             assert cell["cr"] == pytest.approx(8.0 / cell["bpss"], rel=1e-12)
 
-    def test_marginals_recompute_from_cells(self, small_lossless_report):
+    def test_marginals_recompute_from_cells(self, tmp_path, small_lossless_report):
         _, report = small_lossless_report
-        for (obj, cid), value in report.object_marginals.items():
-            cells = [c["bpss"] for c in report.cells
-                     if c["object"] == obj and c["codec"] == cid]
-            assert value == pytest.approx(sum(cells) / len(cells), abs=1e-9)
-        for (pose, cid), value in report.pose_marginals.items():
-            cells = [c["bpss"] for c in report.cells
-                     if c["pose"] == pose and c["codec"] == cid]
-            assert value == pytest.approx(sum(cells) / len(cells), abs=1e-9)
+        _, table = bench.write_lossless_report(report, tmp_path)
+        lines = [l for l in table.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == "kind,name,tlc1"
+        rows = {tuple(line.split(",")[:2]): float(line.split(",")[2]) for line in lines[1:]}
+        assert set(rows) == {("object", "apple"), ("object", "egg"), ("pose", "cylindrical"),
+                             ("pose", "pinch"), ("average", "bpss"), ("average", "cr")}
+        for (key, name), value in rows.items():
+            match = {} if key == "average" else {key: name}
+            expected = mean_bpss(report.cells, "tlc1", **match)
+            if name == "cr":
+                expected = 8.0 / expected
+            assert value == pytest.approx(expected, rel=1e-5)
 
     def test_bits_conserved_across_tiles(self, small_lossless_report):
         config, report = small_lossless_report
@@ -155,16 +182,14 @@ class TestLosslessSuite:
             for start, stop in tile_ranges(trace.frame_count, config.tile_height):
                 tile = trace_to_image(trace, (start, stop))
                 expected += codec.encode_lossless(tile).payload_bits
-        assert report.total_bits == expected
+        assert sum(c["bits"] for c in report.cells) == expected
 
     def test_difficulty_ordering(self, small_lossless_report):
         _, report = small_lossless_report
-        assert report.object_marginals[("egg", "tlc1")] < report.object_marginals[
-            ("apple", "tlc1")
-        ]
-        assert report.pose_marginals[("pinch", "tlc1")] <= report.pose_marginals[
-            ("cylindrical", "tlc1")
-        ]
+        cells = report.cells
+        assert mean_bpss(cells, "tlc1", object="egg") < mean_bpss(cells, "tlc1", object="apple")
+        assert (mean_bpss(cells, "tlc1", pose="pinch")
+                <= mean_bpss(cells, "tlc1", pose="cylindrical"))
 
     def test_byte_identical_reports(self, tmp_path, small_lossless_report):
         config, _ = small_lossless_report
@@ -181,7 +206,7 @@ class TestLosslessSuite:
             **{**SMALL, "reps": 1}, codecs=("tlc1", "gzip"), tile_height=64
         )
         report = bench.run_lossless_suite(config)
-        assert "gzip" in report.codec_marginals
+        assert codecs_of(report) == {"tlc1", "gzip"}
         assert not report.skipped
 
     def test_unавailable_codec_is_skipped(self, tmp_path):
@@ -198,7 +223,7 @@ class TestLosslessSuite:
         )
         report = bench.run_lossless_suite(config)
         assert [s.codec_id for s in report.skipped] == ["ghost"]
-        assert "ghost" not in report.codec_marginals
+        assert codecs_of(report) == {"tlc1"}
 
 
 class TestLossySuite:

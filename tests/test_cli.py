@@ -70,6 +70,67 @@ def test_simulate_seed_defaults_to_the_bench_seed(tmp_path):
     assert runs["default"] == runs["seed0"]
 
 
+@pytest.mark.parametrize("plan, reps", [
+    ("0.01,0.02", "1"),
+    ("0.01,0.01,0.01,0.01,0.01,0.01", "1"),
+    (TWO_FRAMES.replace(" ", ""), "0"),
+], ids=["two-durations", "six-durations", "zero-reps"])
+def test_bad_simulate_plan_or_reps_exits_2(tmp_path, plan, reps):
+    assert cli.main(["--out", str(tmp_path), "simulate", "--objects", "egg", "--poses",
+                     "pinch", "--plan", plan, "--reps", reps]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_convert_mptd_to_ppm_and_back_gives_the_same_bytes(tmp_path):
+    assert cli.main(["--out", str(tmp_path), "simulate", "--objects", "egg", "--poses",
+                     "pinch", "--plan", TWELVE_FRAMES.replace(" ", "")]) == 0
+    trace = tmp_path / "egg_pinch_0.mptd"
+    image = tmp_path / "egg.ppm"
+    back = tmp_path / "back.mptd"
+    assert cli.main(["convert", str(trace), str(image)]) == 0
+    assert cli.main(["convert", str(image), str(back), "--object", "egg"]) == 0
+    assert back.read_bytes() == trace.read_bytes()
+
+
+@pytest.fixture
+def rd_curve(tmp_path):
+    run = "[run]\ncodecs = tlc1-lossy\nquality_ladder.tlc1-lossy = 2, 8, 32, 64\n"
+    assert cli.main(["--config", write_config(tmp_path, run), "bench-lossy"]) == 0
+    return tmp_path / "out" / "rd_curve_tlc1-lossy.csv"
+
+
+def test_bdrate_of_a_suite_curve_against_itself_exits_0(tmp_path, rd_curve, capsys):
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes(rd_curve.read_bytes())
+    capsys.readouterr()
+    assert cli.main(["bdrate", str(rd_curve), str(copy)]) == 0
+    assert capsys.readouterr().out.startswith("bd_rate_percent = ")
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "bpss,psnr_db,ms_ssim\n0.5,30\n"],
+                         ids=["empty", "comment-only", "short-row"])
+def test_malformed_bdrate_csv_exits_2(tmp_path, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    good = tmp_path / "good.csv"
+    good.write_text("bpss,psnr_db,ms_ssim\n" + "".join(
+        f"{r},{30 + r},0.9{r}\n" for r in range(1, 5)))
+    assert cli.main(["bdrate", str(bad), str(good)]) == 2
+    assert cli.main(["bdrate", str(good), str(bad)]) == 2
+
+
+def test_cluster_exits_0_and_writes_the_embedding(tmp_path):
+    config = downstream_config(tmp_path, "tlc1-lossy")
+    assert cli.main(["--config", config, "cluster", "--perplexity", "1"]) == 0
+    lines = (tmp_path / "out" / "cluster_embedding.csv").read_text().splitlines()
+    assert [l for l in lines if not l.startswith("#")][0] == "label,x,y,cluster"
+
+
+def test_probe_codecs_exits_0_and_lists_gzip(capsys):
+    assert cli.main(["probe-codecs"]) == 0
+    assert any(line.split()[0] == "gzip" for line in capsys.readouterr().out.splitlines())
+
+
 @pytest.mark.parametrize("command, run", [
     ("bench-lossless", "[run]\ncodecs = tlc1\ntile_height = 8\n"),
     ("bench-lossy", "[run]\ncodecs = tlc1-lossy\nquality_ladder.tlc1-lossy = 8, 64\n"),

@@ -1,4 +1,4 @@
-"""Golden digests: TLC1 payloads and bench CSVs for fixed seeds.
+"""Golden digests: TLC1 payloads, bench CSVs and simulated traces for fixed seeds.
 
 A refactor of the codec or the bench must reproduce these bytes exactly.
 The CSV headers name the tool and numpy versions, so a version bump changes
@@ -10,7 +10,7 @@ only for a change that is meant to alter the output.
 import hashlib
 from pathlib import Path
 
-from taccompress import bench, codec
+from taccompress import bench, cli, codec
 from taccompress.analysis import ClassifierKind
 from taccompress.imaging import trace_to_image
 from taccompress.layout import GraspPose
@@ -39,6 +39,30 @@ REPORT_DIGESTS = {
     "downstream_accuracy.csv":
         "896f5c70f314d2fcf01a2d1483b92ea6a15b1c6f7d92782e40fd6189692968d3",
 }
+
+SIMULATE_DIGESTS = {
+    "egg_pinch_0.mptd":
+        "3e19a561beb2312c9ddda53e53c14a716f24cc05e2ff91865305676fa8f89917",
+    "egg_pinch_1.mptd":
+        "cb2861fc584712a5277f7590c32a2aeb97e9d875abf4ad91ebccf30077049f20",
+    "egg_tripod_0.mptd":
+        "5aa6be0f96e5988721cebaf41eaeb71c2c6d754858bee7c49874f62ad13f8204",
+    "egg_tripod_1.mptd":
+        "3e5009e75436077a68fe645382f2ef4c0f5a98bb74c627df217ff3f85fa38226",
+    "water_bottle_pinch_0.mptd":
+        "c140da48df108ec6399a64f132c2c87f3c02b6d985d52b13488ba8d3aaade72f",
+    "water_bottle_pinch_1.mptd":
+        "a34a6d16981418b3ba0c3f913c9e933e46dd928fbf85367a1df8b0647baba836",
+    "water_bottle_tripod_0.mptd":
+        "2152d04f5fb24e5ab62492814eb02fb45c54f033ccb8702317b12bb17d1be1c1",
+    "water_bottle_tripod_1.mptd":
+        "014561482a775a8b53aa6939b8ff840a982334f33faff6fb1117ba16d912c3fd",
+}
+
+# Two objects (one named with a space) x two poses x two reps of 12 frames.
+SIMULATE_ARGS = ["--seed", "3", "simulate", "--objects", "egg,water bottle",
+                 "--poses", "pinch,tripod", "--reps", "2",
+                 "--plan", "0.02,0.03,0.02,0.03,0.02"]
 
 # Two 12-frame traces: two lossless tiles each (8 + 4 rows), one lossy tile
 # each, at or above the 11 rows MS-SSIM needs.
@@ -81,12 +105,21 @@ def report_digests(out_dir: Path) -> dict:
     return {p.name: _sha256(p.read_bytes()) for p in paths}
 
 
+def simulate_digests(out_dir: Path) -> dict:
+    assert cli.main(["--out", str(out_dir), *SIMULATE_ARGS]) == 0
+    return {p.name: _sha256(p.read_bytes()) for p in sorted(out_dir.iterdir())}
+
+
 def test_tlc1_payloads_match_the_golden_digests():
     assert payload_digests() == PAYLOAD_DIGESTS
 
 
 def test_bench_reports_match_the_golden_digests(tmp_path):
     assert report_digests(tmp_path) == REPORT_DIGESTS
+
+
+def test_simulate_files_match_the_golden_digests(tmp_path):
+    assert simulate_digests(tmp_path) == SIMULATE_DIGESTS
 
 
 if __name__ == "__main__":
@@ -96,3 +129,5 @@ if __name__ == "__main__":
     pprint.pprint(payload_digests())
     with tempfile.TemporaryDirectory() as tmp:
         pprint.pprint(report_digests(Path(tmp)))
+    with tempfile.TemporaryDirectory() as tmp:
+        pprint.pprint(simulate_digests(Path(tmp)))
