@@ -5,6 +5,24 @@ their rows to a fixed height, flattening row-major, and scaling into [0, 1].
 The four classifiers and both clustering tools are implemented natively on
 numpy with explicit seeds, so every result is reproducible to the byte with
 no ML runtime behind it.
+
+No fit loops per sample, threshold or feature:
+
+- Softmax regression and the linear SVM start at ``w = 0``, and every
+  gradient step adds ``x.T @ g`` for some n-row ``g``, so ``w = x.T @ a``
+  throughout.  They iterate on ``a`` with the n x n Gram matrix
+  ``x @ x.T`` (``x @ w = gram @ a``), which costs n*n*k a step instead of
+  n*d*k when n << d, and form ``w`` once at the end.  This rounds
+  differently from stepping ``w`` itself: the SVM's weights agree to about
+  1e-15.  Softmax's step size (2.0) is far above its stability bound on
+  image features, so its weights depend on rounding in either form; its
+  predictions are what the golden report digests pin.
+- The random forest's Gini split sorts all candidate columns at once and
+  takes the left class counts at every position from a cumulative sum of
+  one-hot labels.  The counts are integers, so each Gini value is the same
+  float as a running scan computes, and ``argmin`` over the column-major
+  array returns the first minimum, the one a strict ``<`` scan keeps.
+  Trees are flat arrays, and prediction moves all rows one level a step.
 """
 
 import math
@@ -38,7 +56,7 @@ class FeatureMatrix:
             raise ValueError("rows must be a 2-D array")
         if rows.shape[0] != len(self.labels):
             raise ValueError("one label per row required")
-        if rows.size and (rows.min() < 0 or rows.max() > 1):
+        if not np.all((rows >= 0) & (rows <= 1)):  # NaN fails both tests
             raise ValueError("feature values must lie in [0, 1]")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -141,104 +159,88 @@ class _KNNClassifier:
         return out
 
 
-class _SoftmaxClassifier:
-    def __init__(self, epochs=1000, learning_rate=2.0, l2=1e-4):
+class _LinearClassifier:
+    """Scores ``rows @ w + b``.  The fits run full-batch gradient steps from
+    ``w = 0`` on the training rows' Gram matrix and form ``w`` once at the end
+    (see the module docstring)."""
+
+    def __init__(self, epochs, learning_rate, l2):
         self.epochs = epochs
         self.learning_rate = learning_rate
         self.l2 = l2
+
+    def predict(self, rows):
+        scores = np.asarray(rows, np.float64) @ self.w + self.b
+        return [self.classes[i] for i in np.argmax(scores, axis=1)]
+
+
+class _SoftmaxClassifier(_LinearClassifier):
+    def __init__(self, epochs=1000, learning_rate=2.0, l2=1e-4):
+        super().__init__(epochs, learning_rate, l2)
 
     def fit(self, rows, labels, seed):
         x = rows.astype(np.float64)
         self.classes = sorted(set(labels))
         index = {c: i for i, c in enumerate(self.classes)}
-        y = np.array([index[l] for l in labels])
-        n, d = x.shape
-        k = len(self.classes)
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), y] = 1.0
-        self.w = np.zeros((d, k))
-        self.b = np.zeros(k)
+        n = x.shape[0]
+        onehot = np.zeros((n, len(self.classes)))
+        onehot[np.arange(n), [index[l] for l in labels]] = 1.0
+        gram = x @ x.T
+        a = np.zeros_like(onehot)  # w = x.T @ a
+        self.b = np.zeros(len(self.classes))
         for _ in range(self.epochs):
-            logits = x @ self.w + self.b
+            logits = gram @ a + self.b
             logits -= logits.max(axis=1, keepdims=True)
             p = np.exp(logits)
             p /= p.sum(axis=1, keepdims=True)
-            grad_w = x.T @ (p - onehot) / n + self.l2 * self.w
-            grad_b = (p - onehot).mean(axis=0)
-            self.w -= self.learning_rate * grad_w
-            self.b -= self.learning_rate * grad_b
+            residual = p - onehot
+            a -= self.learning_rate * (residual / n + self.l2 * a)
+            self.b -= self.learning_rate * residual.mean(axis=0)
+        self.w = x.T @ a
         return self
 
-    def predict(self, rows):
-        scores = np.asarray(rows, np.float64) @ self.w + self.b
-        return [self.classes[i] for i in np.argmax(scores, axis=1)]
 
-
-class _LinearSVMClassifier:
-    """One-vs-rest hinge loss trained by full-batch subgradient descent."""
+class _LinearSVMClassifier(_LinearClassifier):
+    """One-vs-rest hinge loss trained by full-batch subgradient descent, all
+    classes at once."""
 
     def __init__(self, epochs=200, learning_rate=1.0, l2=1e-4):
-        self.epochs = epochs
-        self.learning_rate = learning_rate
-        self.l2 = l2
+        super().__init__(epochs, learning_rate, l2)
 
     def fit(self, rows, labels, seed):
         x = rows.astype(np.float64)
         self.classes = sorted(set(labels))
-        n, d = x.shape
-        self.w = np.zeros((d, len(self.classes)))
+        n = x.shape[0]
+        y = np.where(np.array(labels)[:, None] == np.array(self.classes), 1.0, -1.0)
+        gram = x @ x.T
+        a = np.zeros_like(y)  # w = x.T @ a
         self.b = np.zeros(len(self.classes))
-        for ci, cls in enumerate(self.classes):
-            y = np.where(np.array(labels) == cls, 1.0, -1.0)
-            w = np.zeros(d)
-            b = 0.0
-            for epoch in range(self.epochs):
-                lr = self.learning_rate / (1.0 + 0.1 * epoch)
-                margin = y * (x @ w + b)
-                viol = margin < 1.0
-                grad_w = self.l2 * w - (x[viol] * y[viol, None]).sum(axis=0) / n
-                grad_b = -y[viol].sum() / n
-                w -= lr * grad_w
-                b -= lr * grad_b
-            self.w[:, ci] = w
-            self.b[ci] = b
+        for epoch in range(self.epochs):
+            lr = self.learning_rate / (1.0 + 0.1 * epoch)
+            pull = np.where(y * (gram @ a + self.b) < 1.0, y, 0.0)  # margin violators
+            a -= lr * (self.l2 * a - pull / n)
+            self.b += lr * (pull.sum(axis=0) / n)
+        self.w = x.T @ a
         return self
 
-    def predict(self, rows):
-        scores = np.asarray(rows, np.float64) @ self.w + self.b
-        return [self.classes[i] for i in np.argmax(scores, axis=1)]
 
-
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "label")
-
-    def __init__(self):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.label = None
-
-
-def _gini_best_split(x, y, feat_ids, n_classes):
-    best = (None, None, 1e18)
-    for f in feat_ids:
-        vals = x[:, f]
-        order = np.argsort(vals, kind="stable")
-        sv, sy = vals[order], y[order]
-        left = np.zeros(n_classes)
-        right = np.bincount(sy, minlength=n_classes).astype(np.float64)
-        n = len(sy)
-        for i in range(n - 1):
-            left[sy[i]] += 1
-            right[sy[i]] -= 1
-            if sv[i] == sv[i + 1]:
-                continue
-            nl, nr = i + 1.0, n - i - 1.0
-            gini = (nl - (left @ left) / nl) + (nr - (right @ right) / nr)
-            if gini < best[2]:
-                best = (f, (sv[i] + sv[i + 1]) / 2.0, gini)
-    return best
+def _gini_best_split(vals, y, n_classes):
+    """(column, threshold, gini) of the best split over the columns of
+    ``vals``, or None when every column is constant."""
+    n = len(y)
+    order = np.argsort(vals, axis=0, kind="stable")
+    sv = np.take_along_axis(vals, order, axis=0)
+    left = np.cumsum(np.eye(n_classes)[y[order]], axis=0)[:-1]  # (n-1, columns, classes)
+    right = np.bincount(y, minlength=n_classes) - left
+    nl = np.arange(1.0, n)[:, None]
+    nr = n - nl
+    gini = (nl - (left * left).sum(axis=2) / nl) + (nr - (right * right).sum(axis=2) / nr)
+    gini[sv[:-1] == sv[1:]] = np.inf
+    if np.isinf(gini).all():
+        return None
+    # column-major argmin: the first minimum in (column, position) order
+    col, pos = np.unravel_index(np.argmin(gini.T), gini.T.shape)
+    return col, (sv[pos, col] + sv[pos + 1, col]) / 2.0, gini[pos, col]
 
 
 class _RandomForestClassifier:
@@ -256,37 +258,45 @@ class _RandomForestClassifier:
         m = max(1, int(math.isqrt(d)))
         self.forest = []
         for _ in range(self.trees):
-            boot = rng.integers(0, n, size=n)
-            self.forest.append(self._grow(x[boot], y[boot], rng, m))
+            nodes = []
+            self._grow(x, y, rng.integers(0, n, size=n), rng, m, nodes)
+            self.forest.append(tuple(np.array(column) for column in zip(*nodes)))
         return self
 
-    def _grow(self, x, y, rng, m):
-        node = _Node()
-        counts = np.bincount(y, minlength=len(self.classes))
-        if len(y) < self.min_samples or counts.max() == len(y):
-            node.label = int(np.argmax(counts))
-            return node
-        feat_ids = rng.choice(x.shape[1], size=m, replace=False)
-        f, thr, _ = _gini_best_split(x, y, feat_ids, len(self.classes))
-        if f is None:
-            node.label = int(np.argmax(counts))
-            return node
-        mask = x[:, f] <= thr
-        node.feature = int(f)
-        node.threshold = float(thr)
-        node.left = self._grow(x[mask], y[mask], rng, m)
-        node.right = self._grow(x[~mask], y[~mask], rng, m)
-        return node
+    def _grow(self, x, y, rows, rng, m, nodes):
+        """Append the subtree of the training rows ``rows`` to ``nodes`` depth
+        first, one [feature, threshold, left, right, label] row a node
+        (feature -1 on a leaf, label -1 inside); return its root's index."""
+        at = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, -1])
+        counts = np.bincount(y[rows], minlength=len(self.classes))
+        best = None
+        if len(rows) >= self.min_samples and counts.max() < len(rows):
+            feat_ids = rng.choice(x.shape[1], size=m, replace=False)
+            best = _gini_best_split(x[np.ix_(rows, feat_ids)], y[rows], len(self.classes))
+        if best is None:
+            nodes[at][4] = int(np.argmax(counts))
+            return at
+        f, thr = int(feat_ids[best[0]]), float(best[1])
+        mask = x[rows, f] <= thr
+        left = self._grow(x, y, rows[mask], rng, m, nodes)
+        right = self._grow(x, y, rows[~mask], rng, m, nodes)
+        nodes[at][:4] = [f, thr, left, right]
+        return at
 
     def predict(self, rows):
         x = np.asarray(rows, np.float64)
+        every = np.arange(x.shape[0])
         votes = np.zeros((x.shape[0], len(self.classes)))
-        for tree in self.forest:
-            for i in range(x.shape[0]):
-                node = tree
-                while node.label is None:
-                    node = node.left if x[i, node.feature] <= node.threshold else node.right
-                votes[i, node.label] += 1
+        for feature, threshold, left, right, label in self.forest:
+            node = np.zeros(x.shape[0], np.intp)
+            inner = feature[node] >= 0
+            while inner.any():  # one level down for every row not yet at a leaf
+                # a leaf's feature -1 reads the last column; np.where drops it
+                go_left = x[every, feature[node]] <= threshold[node]
+                node = np.where(inner, np.where(go_left, left[node], right[node]), node)
+                inner = feature[node] >= 0
+            votes[every, label[node]] += 1
         return [self.classes[i] for i in np.argmax(votes, axis=1)]
 
 

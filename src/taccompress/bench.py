@@ -196,6 +196,12 @@ def _joined(values) -> str:
     return ",".join(str(v) for v in values)
 
 
+def _float_text(value: float) -> str:
+    """``{:g}`` when that parses back to ``value``, else ``repr``."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 _LADDER_KEY = "run.quality_ladder."  # one row for every run.quality_ladder.<codec id>
 
 # The config schema, in report-header order: (section.key, BenchConfig field,
@@ -211,9 +217,8 @@ CONFIG_KEYS = (
      lambda poses: ",".join(p.name.lower() for p in poses)),
     ("dataset.reps", "reps", int, str),
     ("dataset.seed", "seed", int, str),
-    ("dataset.sample_rate_hz", "sample_rate_hz", float, "{:g}".format),
-    ("dataset.plan_s", "plan", _plan,
-     lambda plan: ",".join(map("{:g}".format, plan.durations))),
+    ("dataset.sample_rate_hz", "sample_rate_hz", float, _float_text),
+    ("dataset.plan_s", "plan", _plan, lambda plan: ",".join(map(_float_text, plan.durations))),
     ("dataset.directory", "ingest_directory", str, str),
     ("run.codecs", "codecs", lambda raw: tuple(_split_list(raw)), ",".join),
     ("run.tile_height", "tile_height", int, str),
@@ -228,7 +233,7 @@ CONFIG_KEYS = (
     ("downstream.codec", "downstream_codec", str, str),
     ("downstream.qualities", "downstream_qualities", _ints, _joined),
     ("downstream.feature_height", "feature_height", int, str),
-    ("downstream.train_fraction", "train_fraction", float, "{:g}".format),
+    ("downstream.train_fraction", "train_fraction", float, _float_text),
     ("downstream.split_seed", "split_seed", int, str),
     ("output.directory", "output_directory", str, str),
 )
@@ -568,16 +573,19 @@ def run_lossy_suite(config: BenchConfig, corpus=None) -> BenchReport:
             }
         )
         curve_points.setdefault(cid, []).append(
-            RDPoint(bpss=rate, psnr_db=point_psnr, ms_ssim=point_msssim)
+            (quality, RDPoint(bpss=rate, psnr_db=point_psnr, ms_ssim=point_msssim))
         )
 
-    rd_curves = {}
+    # a curve keeps the first point at each rate; the cells keep them all
+    rd_curves, dropped = {}, {}
     for cid, points in curve_points.items():
-        points = sorted(points, key=lambda p: p.bpss)
-        deduped = [points[0]]
-        for p in points[1:]:
+        points = sorted(points, key=lambda qp: qp[1].bpss)
+        deduped = [points[0][1]]
+        for quality, p in points[1:]:
             if p.bpss > deduped[-1].bpss:
                 deduped.append(p)
+            else:
+                dropped.setdefault(cid, []).append(f"{cid}@{quality}")
         rd_curves[cid] = RDCurve(codec_id=cid, points=tuple(deduped))
 
     bd_rows = []
@@ -585,15 +593,17 @@ def run_lossy_suite(config: BenchConfig, corpus=None) -> BenchReport:
         if ref_id not in rd_curves or test_id not in rd_curves:
             raise ValueError(f"BD pair {ref_id}:{test_id} needs both codecs in the run")
         context = SCC_REFERENCE_CONTEXT.get((ref_id, test_id), "")
+        equal_rate = [p for cid in dict.fromkeys((ref_id, test_id)) for p in dropped.get(cid, ())]
         for metric in (QualityMetric.PSNR, QualityMetric.MSSSIM):
             # a metric variant whose curve is not strictly monotone in
             # quality is rejected, recorded rather than crashing the run
+            notes = [f"dropped equal-rate points {' '.join(equal_rate)}"] if equal_rate else []
             try:
                 value = bd_rate(rd_curves[ref_id], rd_curves[test_id], metric)
-                note = ""
             except ValueError as exc:
                 value = None
-                note = f"rejected: {exc}"
+                notes.append(f"rejected: {exc}")
+            note = "; ".join(notes)
             bd_rows.append(
                 {
                     "reference": ref_id,

@@ -2,6 +2,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import spearmanr
 
 from taccompress import analysis as A
@@ -233,3 +236,152 @@ class TestAri:
         labels = ["x"] * 5 + ["y"] * 5 + ["z"] * 5
         renamed = [{"x": 2, "y": 0, "z": 1}[v] for v in labels]
         assert A.adjusted_rand_index(labels, renamed) == 1.0
+
+
+class TestFeatureMatrixRange:
+    @pytest.mark.parametrize("rows", [
+        [[np.nan, 0.5], [0.2, np.inf]],
+        [[np.nan, 0.5], [0.2, 0.3]],
+        [[0.1, -np.inf], [0.2, 0.3]],
+        [[0.1, 1.5], [0.2, 0.3]],
+    ], ids=["nan-and-inf", "nan", "minus-inf", "above-one"])
+    def test_values_outside_the_unit_interval_rejected(self, rows):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            FeatureMatrix(rows=rows, labels=("a", "b"))
+
+
+# Reference fits kept from before the vectorized ones: the Gini split scans
+# one position at a time, and softmax and the SVM step the d-dimensional
+# weights themselves (one SVM class at a time).
+def reference_gini_best_split(x, y, feat_ids, n_classes):
+    best = (None, None, 1e18)
+    for f in feat_ids:
+        vals = x[:, f]
+        order = np.argsort(vals, kind="stable")
+        sv, sy = vals[order], y[order]
+        left = np.zeros(n_classes)
+        right = np.bincount(sy, minlength=n_classes).astype(np.float64)
+        n = len(sy)
+        for i in range(n - 1):
+            left[sy[i]] += 1
+            right[sy[i]] -= 1
+            if sv[i] == sv[i + 1]:
+                continue
+            nl, nr = i + 1.0, n - i - 1.0
+            gini = (nl - (left @ left) / nl) + (nr - (right @ right) / nr)
+            if gini < best[2]:
+                best = (f, (sv[i] + sv[i + 1]) / 2.0, gini)
+    return best
+
+
+def reference_softmax(x, labels, epochs=1000, learning_rate=2.0, l2=1e-4):
+    classes = sorted(set(labels))
+    y = np.array([classes.index(l) for l in labels])
+    n, d = x.shape
+    onehot = np.zeros((n, len(classes)))
+    onehot[np.arange(n), y] = 1.0
+    w, b = np.zeros((d, len(classes))), np.zeros(len(classes))
+    for _ in range(epochs):
+        logits = x @ w + b
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        w -= learning_rate * (x.T @ (p - onehot) / n + l2 * w)
+        b -= learning_rate * (p - onehot).mean(axis=0)
+    return w, b
+
+
+def reference_svm(x, labels, epochs=200, learning_rate=1.0, l2=1e-4):
+    classes = sorted(set(labels))
+    n, d = x.shape
+    w_all, b_all = np.zeros((d, len(classes))), np.zeros(len(classes))
+    for ci, cls in enumerate(classes):
+        y = np.where(np.array(labels) == cls, 1.0, -1.0)
+        w, b = np.zeros(d), 0.0
+        for epoch in range(epochs):
+            lr = learning_rate / (1.0 + 0.1 * epoch)
+            viol = y * (x @ w + b) < 1.0
+            w -= lr * (l2 * w - (x[viol] * y[viol, None]).sum(axis=0) / n)
+            b -= lr * (-y[viol].sum() / n)
+        w_all[:, ci], b_all[ci] = w, b
+    return w_all, b_all
+
+
+@st.composite
+def split_cases(draw):
+    """Tie-heavy columns on a grid of at most five values, n from 1."""
+    n, d, k = draw(st.integers(1, 30)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    levels = draw(st.integers(0, 4))
+    x = draw(arrays(np.int64, (n, d), elements=st.integers(0, levels))) / 4.0
+    y = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    feat_ids = np.array(draw(st.permutations(range(d)))[:draw(st.integers(1, d))])
+    return x, y, feat_ids, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+@example((np.zeros((1, 3)), np.zeros(1, np.int64), np.array([2, 0]), 2))
+@example((np.ones((6, 2)), np.array([0, 1, 0, 1, 1, 0]), np.array([1, 0]), 2))
+def test_gini_split_matches_the_positional_scan(case):
+    x, y, feat_ids, k = case
+    want = reference_gini_best_split(x, y, feat_ids, k)
+    got = A._gini_best_split(x[:, feat_ids], y, k)
+    if want[0] is None:
+        assert got is None
+    else:
+        col, threshold, gini = got
+        assert (feat_ids[col], threshold, gini) == want
+
+
+@st.composite
+def wide_rows(draw):
+    """n << d rows scaled to |x| <= 1, so that softmax's step of 2.0 stays
+    below its stability bound.  Above it the iteration amplifies rounding,
+    and two orderings of the same primal sums disagree in their weights as
+    well (they do on 40 perfbench feature rows), so no form can be compared
+    there."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    n, d, k = draw(st.integers(2, 12)), draw(st.integers(40, 200)), draw(st.integers(2, 4))
+    labels = [f"c{i % k}" for i in range(n)]
+    centres = rng.random((k, d))
+    x = np.clip(centres[np.arange(n) % k] + 0.3 * rng.standard_normal((n, d)), 0, 1)
+    return x / np.sqrt(d), labels, rng.random((5, d)) / np.sqrt(d)
+
+
+@pytest.mark.parametrize("kind, reference", [
+    (ClassifierKind.SOFTMAX_REGRESSION, reference_softmax),
+    (ClassifierKind.LINEAR_SVM, reference_svm),
+], ids=["softmax", "svm"])
+@settings(max_examples=25, deadline=None)
+@given(case=wide_rows())
+def test_gram_fits_match_the_weight_space_loops(kind, reference, case):
+    x, labels, test_rows = case
+    clf = A.train_classifier(kind, FeatureMatrix(x, labels))
+    w, b = reference(x.astype(np.float32).astype(np.float64), labels)
+    assert np.allclose(clf.w, w, rtol=1e-9) and np.allclose(clf.b, b, rtol=1e-9)
+    scores = test_rows @ w + b
+    assert A.predict(clf, test_rows) == [clf.classes[i] for i in np.argmax(scores, axis=1)]
+
+
+def test_forest_predict_equals_a_row_by_row_walk():
+    # training values on quarters, test values on eighths: test rows also
+    # land exactly on the midpoint thresholds
+    rng = np.random.default_rng(11)
+    labels = [f"c{i % 3}" for i in range(30)]
+    train = FeatureMatrix(rng.integers(0, 5, (30, 16)) / 4.0, labels)
+    rows = rng.integers(0, 9, (50, 16)) / 8.0
+    clf = A.train_classifier(ClassifierKind.RANDOM_FOREST, train, seed=4, trees=20)
+
+    def walk(tree, row):
+        feature, threshold, left, right, label = tree
+        node = 0
+        while feature[node] >= 0:
+            node = left[node] if row[feature[node]] <= threshold[node] else right[node]
+        return label[node]
+
+    want = []
+    for row in rows:
+        votes = np.bincount([walk(tree, row) for tree in clf.forest], minlength=3)
+        want.append(clf.classes[int(np.argmax(votes))])
+    assert A.predict(clf, rows) == want
+    assert any(len(tree[0]) > 3 for tree in clf.forest)

@@ -5,6 +5,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_golden import DOWNSTREAM, LOSSLESS, LOSSY
 
 from taccompress import bench, codec
@@ -13,7 +15,7 @@ from taccompress.errors import FormatError
 from taccompress.imaging import TactileImage, tile_ranges, trace_to_image
 from taccompress.layout import GraspPose
 from taccompress.metrics import MSSSIM_WINDOW, ms_ssim
-from taccompress.simulate import PhasePlan
+from taccompress.simulate import OBJECT_NAMES, PhasePlan
 from taccompress.trace import save_trace
 
 GZIP_AVAILABLE = shutil.which("gzip") is not None
@@ -35,6 +37,21 @@ def mean_bpss(cells, codec_id, **match):
 
 def codecs_of(report):
     return {c["codec"] for c in report.cells}
+
+
+def ini_text(config):
+    """The INI config that ``config``'s report header echoes."""
+    sections = {}
+    for name, value in config.resolved_items():
+        section, key = name.split(".", 1)
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    return "".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CODEC_IDS = st.sampled_from(["tlc1", "tlc1-lossy", "gzip", "hm-scc", "vtm-intra"])
+PATHS = st.text("abc/._-0123456789", max_size=12)
+QUALITIES = st.lists(st.integers(codec.QP_MIN, codec.QP_MAX), max_size=6).map(tuple)
 
 
 @pytest.fixture(scope="module")
@@ -102,12 +119,44 @@ class TestConfig:
     @pytest.mark.parametrize("config", [bench.BenchConfig(), LOSSLESS, LOSSY, DOWNSTREAM],
                              ids=["default", "lossless", "lossy", "downstream"])
     def test_report_header_parses_back_to_the_config(self, config):
-        sections = {}
-        for name, value in config.resolved_items():
-            section, key = name.split(".", 1)
-            sections.setdefault(section, []).append(f"{key} = {value}\n")
-        text = "".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
-        assert bench.parse_config(text) == dataclasses.replace(config, jobs=0)
+        assert bench.parse_config(ini_text(config)) == dataclasses.replace(config, jobs=0)
+
+    def test_header_floats_keep_the_short_form_when_it_is_exact(self):
+        items = dict(bench.BenchConfig(train_fraction=0.1234567, sample_rate_hz=100.0,
+                                       plan=PhasePlan(0.1, 0.2, 1 / 3, 0.5, 2.0)
+                                       ).resolved_items())
+        assert items["downstream.train_fraction"] == "0.1234567"
+        assert items["dataset.sample_rate_hz"] == "100"
+        assert items["dataset.plan_s"] == "0.1,0.2,0.3333333333333333,0.5,2"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.builds(
+        bench.BenchConfig,
+        dataset_kind=st.sampled_from(["synthetic", "ingest"]),
+        objects=st.lists(st.sampled_from(OBJECT_NAMES), min_size=1, unique=True).map(tuple),
+        poses=st.lists(st.sampled_from(GraspPose), unique=True).map(tuple),
+        reps=st.integers(1, 10**6),
+        seed=st.integers(-2**63, 2**64),
+        sample_rate_hz=FINITE.filter(lambda v: v > 0),
+        plan=st.lists(FINITE.filter(lambda v: v >= 0), min_size=5, max_size=5)
+        .filter(lambda d: sum(d) > 0).map(lambda d: PhasePlan(*d)),
+        ingest_directory=PATHS,
+        codecs=st.lists(CODEC_IDS, min_size=1, max_size=4).map(tuple),
+        tile_height=st.integers(1, 10**6),
+        jobs=st.integers(0, 8),
+        codec_specs_path=PATHS,
+        bd_pairs=st.lists(st.tuples(CODEC_IDS, CODEC_IDS), max_size=3).map(tuple),
+        quality_ladders=st.dictionaries(CODEC_IDS, QUALITIES, max_size=3),
+        classifiers=st.lists(st.sampled_from(ClassifierKind), max_size=4).map(tuple),
+        downstream_codec=CODEC_IDS,
+        downstream_qualities=QUALITIES,
+        feature_height=st.integers(1, 10**6),
+        train_fraction=st.floats(0, 1, exclude_min=True, exclude_max=True),
+        split_seed=st.integers(-2**63, 2**64),
+        output_directory=PATHS,
+    ))
+    def test_any_valid_config_round_trips_through_its_header(self, config):
+        assert bench.parse_config(ini_text(config)) == dataclasses.replace(config, jobs=0)
 
     def test_module_docstring_example_parses(self):
         lines = bench.__doc__.split("::\n", 1)[1].splitlines()
@@ -259,6 +308,19 @@ class TestLossySuite:
         assert "rd_points.csv" in names
         assert "rd_curve_tlc1-lossy.csv" in names
         assert "bdrate.csv" in names
+
+    def test_equal_rate_points_dropped_from_the_curve_are_named(self, monkeypatch):
+        # qualities 8, 32 and 64 all code at qp 8, so they share one rate
+        entry = bench.TLC1_CODECS["tlc1-lossy"]
+        monkeypatch.setitem(bench.TLC1_CODECS, "tlc1-lossy", dataclasses.replace(
+            entry, code=lambda tile, quality: entry.code(tile, min(quality, 8))))
+        report = bench.run_lossy_suite(LOSSY)
+        assert [c["quality"] for c in report.cells] == [2, 8, 32, 64]
+        assert len(report.rd_curves["tlc1-lossy"].points) == 2
+        assert len(report.bd_rows) == 2
+        for row in report.bd_rows:
+            assert row["note"].startswith(
+                "dropped equal-rate points tlc1-lossy@32 tlc1-lossy@64")
 
 
 class TestShortTiles:
