@@ -14,7 +14,7 @@ A benchmark run is described by an INI-style config file::
     plan_s = 0.15, 0.10, 0.05, 0.50, 0.05
 
     [run]
-    codecs = tlc1, gzip
+    codecs = tlc1, gzip, hm-intra, hm-scc
     tile_height = 256
     ; 0 = logical CPU count
     jobs = 0
@@ -522,16 +522,24 @@ def run_lossless_suite(config: BenchConfig, corpus=None) -> BenchReport:
 
 def run_lossy_suite(config: BenchConfig, corpus=None) -> BenchReport:
     """Sweep each lossy codec across its quality ladder and aggregate RD
-    points over the corpus; compute BD-rate for every requested pair."""
+    points over the corpus; compute BD-rate for every requested pair.  A
+    pair naming a codec that is not a requested lossy codec is rejected
+    before the corpus exists; a pair whose codec failed its probe gets BD
+    rows with no value and a ``skipped:`` note."""
+    table, skipped = _resolve_codecs(config, config.codecs, CodecKind.LOSSY)
+    unavailable = {s.codec_id: s for s in skipped}
+    strays = [cid for pair in config.bd_pairs for cid in pair
+              if cid not in table and cid not in unavailable]
+    if strays:
+        raise FormatError(f"BD pair codecs {strays} are not lossy codecs of this run")
+    if not table:
+        raise CodecIntegrityError("all requested lossy codecs are unavailable")
     corpus = corpus if corpus is not None else build_corpus(config)
     if not corpus:
         raise FormatError("empty corpus")
     rows = min(config.tile_height, *(t.frame_count for t in corpus))
     if rows < MSSSIM_WINDOW:
         raise FormatError(f"MS-SSIM needs tiles and traces of {MSSSIM_WINDOW} rows, not {rows}")
-    table, skipped = _resolve_codecs(config, config.codecs, CodecKind.LOSSY)
-    if not table:
-        raise CodecIntegrityError("all requested lossy codecs are unavailable")
     runner = CodecRunner(table, config.tile_height, compute_msssim=True)
 
     items = []
@@ -590,19 +598,25 @@ def run_lossy_suite(config: BenchConfig, corpus=None) -> BenchReport:
 
     bd_rows = []
     for ref_id, test_id in config.bd_pairs:
-        if ref_id not in rd_curves or test_id not in rd_curves:
-            raise ValueError(f"BD pair {ref_id}:{test_id} needs both codecs in the run")
         context = SCC_REFERENCE_CONTEXT.get((ref_id, test_id), "")
-        equal_rate = [p for cid in dict.fromkeys((ref_id, test_id)) for p in dropped.get(cid, ())]
+        pair = dict.fromkeys((ref_id, test_id))
+        equal_rate = [p for cid in pair for p in dropped.get(cid, ())]
+        absent = [f"skipped: {cid} {unavailable[cid].status.value}" if cid in unavailable
+                  else f"skipped: {cid} has no quality ladder"
+                  for cid in pair if cid not in rd_curves]
         for metric in (QualityMetric.PSNR, QualityMetric.MSSSIM):
-            # a metric variant whose curve is not strictly monotone in
-            # quality is rejected, recorded rather than crashing the run
+            # a skipped codec, or a metric variant whose curve is not
+            # strictly monotone in quality, is recorded rather than
+            # crashing the run
             notes = [f"dropped equal-rate points {' '.join(equal_rate)}"] if equal_rate else []
-            try:
-                value = bd_rate(rd_curves[ref_id], rd_curves[test_id], metric)
-            except ValueError as exc:
-                value = None
-                notes.append(f"rejected: {exc}")
+            value = None
+            if absent:
+                notes += absent
+            else:
+                try:
+                    value = bd_rate(rd_curves[ref_id], rd_curves[test_id], metric)
+                except ValueError as exc:
+                    notes.append(f"rejected: {exc}")
             note = "; ".join(notes)
             bd_rows.append(
                 {

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import ndimage
 
 from .layout import AXIS_COUNT
 
@@ -114,14 +113,35 @@ def _gaussian_kernel() -> np.ndarray:
 
 
 _KERNEL = _gaussian_kernel()
+_HALF = (MSSSIM_WINDOW - 1) // 2
+_BLOCK_ROWS = 32  # output rows filtered at a time: the temporaries stay in cache
+
+
+def _correlate_valid(plane: np.ndarray, axis: int) -> np.ndarray:
+    # _KERNEL along one axis, kept to the fully supported (valid) positions
+    valid = plane.shape[axis] - 2 * _HALF
+
+    def shifted(offset):
+        return plane[offset:offset + valid] if axis == 0 else plane[:, offset:offset + valid]
+
+    # The kernel is symmetric, so each output is the centre tap plus the
+    # paired outer taps, outermost first: the order of scipy.ndimage's
+    # symmetric correlate1d, which computed the reports' MS-SSIM until
+    # numpy became the only dependency.  The pinned MS-SSIM values in
+    # tests/test_metrics.py hold this sum to exactly that order.
+    out = shifted(_HALF) * _KERNEL[_HALF]
+    for j in range(_HALF):
+        out += (shifted(j) + shifted(2 * _HALF - j)) * _KERNEL[j]
+    return out
 
 
 def _filter_valid(plane: np.ndarray) -> np.ndarray:
-    # separable Gaussian, cropped to the fully-supported (valid) region
-    out = ndimage.correlate1d(plane, _KERNEL, axis=0, mode="constant")
-    out = ndimage.correlate1d(out, _KERNEL, axis=1, mode="constant")
-    m = (MSSSIM_WINDOW - 1) // 2
-    return out[m:-m, m:-m]
+    # separable Gaussian over the fully-supported (valid) region, in row blocks
+    blocks = range(0, plane.shape[0] - 2 * _HALF, _BLOCK_ROWS)
+    return np.concatenate([
+        _correlate_valid(_correlate_valid(plane[r:r + _BLOCK_ROWS + 2 * _HALF], 0), 1)
+        for r in blocks
+    ])
 
 
 def _ssim_terms(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -156,7 +176,7 @@ def msssim_scale_count(height: int, width: int) -> int:
 def ms_ssim(a, b) -> float:
     """Multi-scale SSIM, per channel then channel-averaged, in [0, 1].
 
-    Uses 5 dyadic scales when the input is large enough (min dimension 161);
+    Uses 5 dyadic scales when the input is large enough (min dimension 176);
     smaller inputs drop the coarsest scales and the remaining weights are
     renormalized.  Negative luminance/contrast means are clamped to zero so
     the weighted product stays real.

@@ -70,8 +70,9 @@ class PhasePlan:
     release_decay_s: float = 1.0
 
     def __post_init__(self):
-        if any(d < 0 for d in self.durations):
-            raise ValueError("phase durations must be non-negative")
+        if not all(math.isfinite(d) and d >= 0 for d in self.durations):
+            raise ValueError(
+                f"phase durations must be finite and non-negative, not {self.durations}")
         if self.total_s <= 0:
             raise ValueError("at least one phase must have positive duration")
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.stats import spearmanr
 
 from taccompress import analysis as A
 from taccompress.analysis import ClassifierKind, FeatureMatrix
@@ -185,6 +184,12 @@ class TestKMeans:
             A.kmeans(np.zeros((3, 2)), 4, seed=0)
 
 
+def rank_correlation(a, b):
+    """Spearman's rho of tie-free samples: Pearson's r of their ranks."""
+    assert len(np.unique(a)) == len(a) and len(np.unique(b)) == len(b)
+    return np.corrcoef(np.argsort(np.argsort(a)), np.argsort(np.argsort(b)))[0, 1]
+
+
 class TestTsne:
     def test_rank_correlation_on_line_blobs(self):
         rng = np.random.default_rng(42)
@@ -194,7 +199,7 @@ class TestTsne:
         embedding = A.tsne_2d(x, perplexity=15, seed=0)
         d_in = A._pairwise_sq_dists(x, x)[np.triu_indices(len(x), 1)]
         d_out = A._pairwise_sq_dists(embedding, embedding)[np.triu_indices(len(x), 1)]
-        rho = spearmanr(d_in, d_out).statistic
+        rho = rank_correlation(d_in, d_out)
         assert rho >= 0.5
 
     def test_duplicated_points_embed_symmetrically(self):

@@ -106,8 +106,10 @@ class TestConfig:
         "[downstream]\nqualities = 8, 0\n",
         "[downstream]\nfeature_height = 0\n",
         "[downstream]\ntrain_fraction = 1.5\n",
+        "[dataset]\nplan_s = nan, 0.01, 0.01, 0, 0\n",
+        "[dataset]\nplan_s = inf, 0.01, 0.01, 0, 0\n",
     ], ids=["nan-rate", "zero-rate", "ladder-qp", "downstream-qp", "feature-height",
-            "train-fraction"])
+            "train-fraction", "nan-plan", "inf-plan"])
     def test_out_of_range_values_rejected_at_parse_time(self, text):
         with pytest.raises(FormatError):
             bench.parse_config(text)
@@ -163,7 +165,7 @@ class TestConfig:
         example = itertools.takewhile(lambda line: not line or line.startswith(" "), lines)
         config = bench.parse_config(textwrap.dedent("\n".join(example)))
         assert config.objects == ("apple", "egg")
-        assert config.codecs == ("tlc1", "gzip")
+        assert config.codecs == ("tlc1", "gzip", "hm-intra", "hm-scc")
         assert config.quality_ladders == {"tlc1-lossy": (2, 4, 8, 16, 32, 64)}
         assert config.output_directory == "bench-out"
 
@@ -258,7 +260,7 @@ class TestLosslessSuite:
         assert codecs_of(report) == {"tlc1", "gzip"}
         assert not report.skipped
 
-    def test_unавailable_codec_is_skipped(self, tmp_path):
+    def test_unavailable_codec_is_skipped(self, tmp_path):
         spec_file = tmp_path / "codecs.spec"
         spec_file.write_text(
             "[ghost]\nkind = lossless\nio_format = raw\n"
@@ -321,6 +323,42 @@ class TestLossySuite:
         for row in report.bd_rows:
             assert row["note"].startswith(
                 "dropped equal-rate points tlc1-lossy@32 tlc1-lossy@64")
+
+    @pytest.mark.parametrize("codecs,pair,stray", [
+        (("tlc1-lossy",), ("tlc1-lossy", "hm-scc"), "hm-scc"),
+        (("tlc1", "tlc1-lossy"), ("tlc1", "tlc1-lossy"), "tlc1"),
+    ], ids=["not-requested", "lossless"])
+    def test_bd_pair_outside_the_lossy_run_rejected_before_coding(self, codecs, pair, stray,
+                                                                   monkeypatch):
+        def fail(*_args, **_kwargs):
+            raise AssertionError("the corpus was built or coded before the BD pairs were checked")
+
+        monkeypatch.setattr(bench, "build_corpus", fail)
+        monkeypatch.setattr(bench.CodecRunner, "run_trace", fail)
+        config = dataclasses.replace(LOSSY, codecs=codecs, bd_pairs=(pair,))
+        with pytest.raises(FormatError, match=fr"BD pair codecs \['{stray}'\] are not lossy"):
+            bench.run_lossy_suite(config)
+
+    def test_bd_pair_with_an_unavailable_codec_is_noted_not_fatal(self, tmp_path):
+        spec_file = tmp_path / "codecs.spec"
+        spec_file.write_text(
+            "[ghost]\nkind = lossy\nio_format = ppm\nquality_ladder = 10, 20, 30, 40\n"
+            "encode = no-such-tool-xyz {quality} {input} {output}\n"
+            "decode = no-such-tool-xyz -d {input} {output}\n"
+        )
+        config = dataclasses.replace(
+            LOSSY, codecs=("tlc1-lossy", "ghost"), codec_specs_path=str(spec_file),
+            bd_pairs=(("ghost", "tlc1-lossy"), ("tlc1-lossy", "tlc1-lossy")))
+        report = bench.run_lossy_suite(config)
+        assert [s.codec_id for s in report.skipped] == ["ghost"]
+        assert [(r["reference"], r["metric"], r["bd_rate_percent"], r["note"])
+                for r in report.bd_rows[:2]] == [
+            ("ghost", "psnr", None, "skipped: ghost unavailable"),
+            ("ghost", "msssim", None, "skipped: ghost unavailable"),
+        ]
+        assert [r["reference"] for r in report.bd_rows[2:]] == ["tlc1-lossy"] * 2
+        bdrate_csv = bench.write_lossy_report(report, tmp_path)[-1].read_text()
+        assert "ghost,tlc1-lossy,psnr,,,skipped: ghost unavailable\n" in bdrate_csv
 
 
 class TestShortTiles:

@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
+from taccompress import codec
 from taccompress import metrics as M
+from taccompress.imaging import trace_to_image
+from taccompress.layout import GraspPose
 from taccompress.metrics import QualityMetric, RDCurve, RDPoint
+from taccompress.simulate import PhasePlan, generate_trace, make_profile
 
 
 def curve(rates, qualities, msssims=None):
@@ -104,6 +112,7 @@ class TestMsSsim:
     def test_scale_count_reduction(self):
         assert M.msssim_scale_count(256, 1140) == 5
         assert M.msssim_scale_count(176, 176) == 5
+        assert M.msssim_scale_count(175, 175) == 4
         assert M.msssim_scale_count(100, 1140) == 4
         assert M.msssim_scale_count(11, 11) == 1
         assert M.msssim_scale_count(10, 500) == 0
@@ -112,6 +121,55 @@ class TestMsSsim:
         a = np.zeros((8, 8, 3), dtype=np.uint8)
         with pytest.raises(ValueError):
             M.ms_ssim(a, a)
+
+
+def msssim_pin_pairs():
+    """Seeded (source, distorted) pairs whose MS-SSIM is pinned bit for bit."""
+    trace = generate_trace(make_profile("egg"), GraspPose.PINCH,
+                           PhasePlan(0.02, 0.04, 0.02, 0.06, 0.02), seed=1)
+    tile = trace_to_image(trace)  # 16 x 1140
+    pairs = {"tlc1-lossy@16": (tile, codec.decode_lossy(codec.encode_lossy(tile, 16)))}
+    rng = np.random.default_rng(9)
+    for name, shape in [("odd-11x37", (11, 37, 3)), ("five-scale-176x200", (176, 200, 3)),
+                        ("2-d-40x53", (40, 53))]:
+        a = rng.integers(0, 256, shape, dtype=np.uint8)
+        b = np.clip(a + rng.integers(-20, 21, shape), 0, 255).astype(np.uint8)
+        pairs[name] = (a, b)
+    return pairs
+
+
+# Generated with scipy.ndimage.correlate1d as the Gaussian filter, before
+# numpy's shifted-slice sums replaced it; every report's MS-SSIM hangs on them.
+MSSSIM_PINS = {
+    "tlc1-lossy@16": "0x1.fd2388e5f0f5dp-1",
+    "odd-11x37": "0x1.f9178dce8b088p-1",
+    "five-scale-176x200": "0x1.fa26b5f94a8f5p-1",
+    "2-d-40x53": "0x1.f9e67b19b389dp-1",
+}
+
+
+def test_ms_ssim_matches_the_pinned_values_exactly():
+    assert {name: M.ms_ssim(a, b).hex()
+            for name, (a, b) in msssim_pin_pairs().items()} == MSSSIM_PINS
+
+
+def window_sums(plane):
+    """The 11x11 Gaussian window summed at every fully supported position."""
+    window = np.outer(M._KERNEL, M._KERNEL)
+    return np.einsum("rcij,ij->rc", sliding_window_view(plane, window.shape), window)
+
+
+# planes of pixels, their products and their 2x2 means: sixteenths in 0..255^2;
+# up to 90 rows, so the filter's 32-row blocks end full and partial
+PLANES = arrays(np.float64, st.tuples(st.integers(M.MSSSIM_WINDOW, 90),
+                                      st.integers(M.MSSSIM_WINDOW, 40)),
+                elements=st.integers(0, 255 * 255 * 16).map(lambda v: v / 16))
+
+
+@settings(max_examples=100, deadline=None)
+@given(PLANES)
+def test_filter_valid_is_the_gaussian_window_sum(plane):
+    assert np.allclose(M._filter_valid(plane), window_sums(plane), rtol=1e-12, atol=0)
 
 
 class TestBdRate:
