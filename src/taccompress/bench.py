@@ -16,7 +16,7 @@ A benchmark run is described by an INI-style config file::
     [run]
     codecs = tlc1, gzip, hm-intra, hm-scc
     tile_height = 256
-    ; 0 = logical CPU count
+    ; worker processes (0 = usable CPUs)
     jobs = 0
     ; optional path, else bundled templates
     codec_specs =
@@ -50,7 +50,6 @@ import math
 import os
 import tempfile
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -137,6 +136,8 @@ class BenchConfig:
             raise ValueError(f"sample_rate_hz must be finite and > 0, not {self.sample_rate_hz}")
         if self.tile_height < 1:
             raise ValueError("tile_height must be positive")
+        if self.jobs < 0:
+            raise ValueError(f"jobs must be >= 0, not {self.jobs}")
         qps = list(self.quality_ladders.get(native.CODEC_ID_LOSSY, ()))
         if self.downstream_codec == native.CODEC_ID_LOSSY:
             qps += self.downstream_qualities
@@ -150,7 +151,12 @@ class BenchConfig:
             raise ValueError(f"train_fraction must lie in (0, 1), not {self.train_fraction}")
 
     def worker_count(self) -> int:
-        return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
+        """``jobs``, or for 0 the number of CPUs this process may run on."""
+        if self.jobs:
+            return self.jobs
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
     def resolved_items(self) -> list[tuple[str, str]]:
         """The config as report-header ``(section.key, text)`` pairs, in
@@ -389,7 +395,7 @@ def _resolve_codecs(config: BenchConfig, codec_ids, want_kind: CodecKind | None 
     for cid in codec_ids:
         entry = TLC1_CODECS.get(cid)
         if entry is None and cid not in specs:
-            raise ValueError(f"codec {cid!r} not found in the codec spec file")
+            raise FormatError(f"codec {cid!r} not found in the codec spec file")
         kind = entry.kind if entry else specs[cid].kind
         if want_kind is not None and kind is not want_kind:
             continue
@@ -453,11 +459,43 @@ class CodecRunner:
         return TraceResult(bits, trace.sub_sample_count, mse_sum, msssim_weighted, recon_image)
 
 
-def _parallel_results(items, worker, jobs: int):
-    if jobs <= 1:
-        return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, items))
+_pool_work = None  # (items, worker), set only inside a pool's worker processes
+
+
+def _set_pool_work(items, worker):
+    global _pool_work
+    _pool_work = (items, worker)
+
+
+def _run_pool_item(index: int):
+    items, worker = _pool_work
+    return worker(items[index])
+
+
+def _parallel_results(items, worker, jobs: int) -> list:
+    """``[worker(item) for item in items]``, on up to ``jobs`` worker processes.
+
+    Processes, because the TLC1 range coder is plain Python and holds the
+    GIL, so threads would code one item at a time.  Forked, because the suites'
+    workers are lambdas and closures that pickle cannot send: each process
+    inherits ``items`` and ``worker``, only item indices go out and only
+    results come back, in order.  An exception raised in a worker re-raises
+    here with its own type.  Where ``fork`` does not exist the items run
+    serially.  Forking copies only the calling thread, so call this from a
+    process whose other threads hold no lock a worker needs.
+    """
+    if jobs > 1 and len(items) > 1:
+        # imported here, so that serial runs do not load multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
+                                     mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_set_pool_work,
+                                     initargs=(items, worker)) as pool:
+                return list(pool.map(_run_pool_item, range(len(items))))
+    return [worker(item) for item in items]
 
 
 def _mean(values) -> float:
@@ -484,13 +522,14 @@ def _report_header(config: BenchConfig) -> list[tuple[str, str]]:
 
 def run_lossless_suite(config: BenchConfig, corpus=None) -> BenchReport:
     """Compress every trace with every requested lossless codec and tabulate
-    bpss / CR per object and pose, Table-1 style."""
-    corpus = corpus if corpus is not None else build_corpus(config)
-    if not corpus:
-        raise FormatError("empty corpus")
+    bpss / CR per object and pose, Table-1 style.  Codec ids are resolved
+    before the corpus exists."""
     table, skipped = _resolve_codecs(config, config.codecs, CodecKind.LOSSLESS)
     if not table:
         raise CodecIntegrityError("all requested lossless codecs are unavailable")
+    corpus = corpus if corpus is not None else build_corpus(config)
+    if not corpus:
+        raise FormatError("empty corpus")
     runner = CodecRunner(table, config.tile_height, compute_msssim=False)
 
     items = [(trace, cid) for cid in table for trace in corpus]
@@ -634,17 +673,18 @@ def run_lossy_suite(config: BenchConfig, corpus=None) -> BenchReport:
 
 
 def run_downstream_suite(config: BenchConfig, corpus=None) -> BenchReport:
-    """Classify objects from raw and compressed features, Table-2 style."""
-    corpus = corpus if corpus is not None else build_corpus(config)
-    if not corpus:
-        raise FormatError("empty corpus")
-    labels = tuple(t.object_label for t in corpus)
+    """Classify objects from raw and compressed features, Table-2 style.
+    The codec is resolved before the corpus exists."""
     cid = config.downstream_codec
     table, skipped = _resolve_codecs(config, (cid,))
     if skipped:
         raise CodecUnavailableError(
             f"downstream codec {cid}: {skipped[0].status.value} {skipped[0].detail}"
         )
+    corpus = corpus if corpus is not None else build_corpus(config)
+    if not corpus:
+        raise FormatError("empty corpus")
+    labels = tuple(t.object_label for t in corpus)
     runner = CodecRunner(table, config.tile_height, compute_msssim=False)
 
     def accuracy_row(source, quality, rate, images):

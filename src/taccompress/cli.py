@@ -271,7 +271,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="taccompress", description=__doc__)
     parser.add_argument("--version", action="version", version=f"taccompress {__version__}")
     parser.add_argument("--seed", type=int, default=None, help="base seed for synthetic data")
-    parser.add_argument("--jobs", type=int, default=None, help="worker pool size (0 = CPUs)")
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker processes (0 = usable CPUs)")
     parser.add_argument("--config", default=None, help="benchmark config file")
     parser.add_argument("--out", default=None, help="output directory or file")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -36,6 +36,10 @@ class TactileImage:
         pixels.setflags(write=False)
         object.__setattr__(self, "pixels", pixels)
 
+    def __reduce__(self):
+        # rebuilt through __post_init__: an unpickled array comes back writeable
+        return TactileImage, (self.pixels,)
+
     @property
     def height(self) -> int:
         return self.pixels.shape[0]

@@ -73,8 +73,9 @@ class PhasePlan:
         if not all(math.isfinite(d) and d >= 0 for d in self.durations):
             raise ValueError(
                 f"phase durations must be finite and non-negative, not {self.durations}")
-        if self.total_s <= 0:
-            raise ValueError("at least one phase must have positive duration")
+        if not 0 < self.total_s < math.inf:
+            raise ValueError(
+                f"phase durations must sum to a finite, positive total, not {self.total_s}")
 
     @property
     def durations(self) -> tuple[float, ...]:

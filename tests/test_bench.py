@@ -1,5 +1,9 @@
 import dataclasses
+import hashlib
 import itertools
+import math
+import multiprocessing
+import os
 import shutil
 import textwrap
 
@@ -7,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_golden import DOWNSTREAM, LOSSLESS, LOSSY
+from test_golden import DOWNSTREAM, LOSSLESS, LOSSY, REPORT_DIGESTS
 
-from taccompress import bench, codec
+from taccompress import bench, cli, codec
+from taccompress.adapters import CodecKind
 from taccompress.analysis import ClassifierKind
-from taccompress.errors import FormatError
+from taccompress.errors import CodecIntegrityError, FormatError
 from taccompress.imaging import TactileImage, tile_ranges, trace_to_image
 from taccompress.layout import GraspPose
 from taccompress.metrics import MSSSIM_WINDOW, ms_ssim
@@ -108,8 +113,10 @@ class TestConfig:
         "[downstream]\ntrain_fraction = 1.5\n",
         "[dataset]\nplan_s = nan, 0.01, 0.01, 0, 0\n",
         "[dataset]\nplan_s = inf, 0.01, 0.01, 0, 0\n",
+        "[dataset]\nplan_s = 1e308, 1e308, 0, 0, 0\n",
+        "[run]\njobs = -1\n",
     ], ids=["nan-rate", "zero-rate", "ladder-qp", "downstream-qp", "feature-height",
-            "train-fraction", "nan-plan", "inf-plan"])
+            "train-fraction", "nan-plan", "inf-plan", "nonfinite-sum-plan", "negative-jobs"])
     def test_out_of_range_values_rejected_at_parse_time(self, text):
         with pytest.raises(FormatError):
             bench.parse_config(text)
@@ -141,7 +148,7 @@ class TestConfig:
         seed=st.integers(-2**63, 2**64),
         sample_rate_hz=FINITE.filter(lambda v: v > 0),
         plan=st.lists(FINITE.filter(lambda v: v >= 0), min_size=5, max_size=5)
-        .filter(lambda d: sum(d) > 0).map(lambda d: PhasePlan(*d)),
+        .filter(lambda d: 0 < sum(d) < math.inf).map(lambda d: PhasePlan(*d)),
         ingest_directory=PATHS,
         codecs=st.lists(CODEC_IDS, min_size=1, max_size=4).map(tuple),
         tile_height=st.integers(1, 10**6),
@@ -159,6 +166,21 @@ class TestConfig:
     ))
     def test_any_valid_config_round_trips_through_its_header(self, config):
         assert bench.parse_config(ini_text(config)) == dataclasses.replace(config, jobs=0)
+
+    @pytest.mark.parametrize("jobs, affinity, cpus, expected", [
+        (3, {0}, 1, 3),
+        (0, {0, 2, 5}, 8, 3),
+        (0, None, 4, 4),
+        (0, None, None, 1),
+    ], ids=["jobs", "affinity", "cpu-count", "unknown"])
+    def test_worker_count_is_jobs_or_the_usable_cpus(self, jobs, affinity, cpus, expected,
+                                                    monkeypatch):
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert bench.BenchConfig(jobs=jobs).worker_count() == expected
 
     def test_module_docstring_example_parses(self):
         lines = bench.__doc__.split("::\n", 1)[1].splitlines()
@@ -359,6 +381,60 @@ class TestLossySuite:
         assert [r["reference"] for r in report.bd_rows[2:]] == ["tlc1-lossy"] * 2
         bdrate_csv = bench.write_lossy_report(report, tmp_path)[-1].read_text()
         assert "ghost,tlc1-lossy,psnr,,,skipped: ghost unavailable\n" in bdrate_csv
+
+
+@pytest.mark.parametrize("suite, field", [
+    (bench.run_lossless_suite, "codecs"),
+    (bench.run_downstream_suite, "downstream_codec"),
+], ids=["lossless", "downstream"])
+def test_unknown_codec_rejected_before_the_corpus_is_built(suite, field, monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise AssertionError("the corpus was built before the codec ids were resolved")
+
+    monkeypatch.setattr(bench, "build_corpus", fail)
+    value = ("tlc1", "no-such") if field == "codecs" else "no-such"
+    config = dataclasses.replace(LOSSLESS, **{field: value})
+    with pytest.raises(FormatError, match="codec 'no-such' not found"):
+        suite(config)
+
+
+class TestWorkerPool:
+    def test_golden_reports_are_identical_with_two_workers(self, tmp_path):
+        two = {name: dataclasses.replace(config, jobs=2)
+               for name, config in (("lossless", LOSSLESS), ("lossy", LOSSY),
+                                    ("downstream", DOWNSTREAM))}
+        paths = bench.write_lossless_report(bench.run_lossless_suite(two["lossless"]), tmp_path)
+        paths += bench.write_lossy_report(bench.run_lossy_suite(two["lossy"]), tmp_path)
+        paths += bench.write_downstream_report(
+            bench.run_downstream_suite(two["downstream"]), tmp_path)
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in paths} == REPORT_DIGESTS
+        assert multiprocessing.active_children() == []
+
+    def test_results_come_back_in_order_as_read_only_images(self):
+        images = [TactileImage(np.full((2, 3, 3), i, np.uint8)) for i in range(5)]
+        back = bench._parallel_results(images, lambda image: image, 2)
+        assert back == images
+        assert not any(image.pixels.flags.writeable for image in back)
+
+    def test_codec_error_in_a_worker_reaches_the_caller_and_the_exit_code(
+            self, tmp_path, monkeypatch, capsys):
+        def code(_tile, _quality):
+            raise CodecIntegrityError(f"stub failed in process {os.getpid()}")
+
+        monkeypatch.setitem(bench.TLC1_CODECS, "tlc1",
+                            bench.CodecEntry(CodecKind.LOSSLESS, (), code))
+        config = dataclasses.replace(LOSSLESS, jobs=2, output_directory=str(tmp_path / "out"))
+        with pytest.raises(CodecIntegrityError, match="stub failed in process") as caught:
+            bench.run_lossless_suite(config)
+        assert str(caught.value) != f"stub failed in process {os.getpid()}"
+        assert multiprocessing.active_children() == []
+
+        ini = tmp_path / "bench.ini"
+        ini.write_text(ini_text(config))
+        assert cli.main(["--config", str(ini), "--jobs", "2", "bench-lossless"]) == 3
+        assert "stub failed in process" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
 
 class TestShortTiles:
