@@ -41,11 +41,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _files
 from .codec import CompressedBlob
 from .errors import CodecIntegrityError, CodecRunError, CodecUnavailableError, FormatError
 from .imaging import TactileImage, read_ppm, write_ppm
 
 DEFAULT_TIMEOUT_S = 300.0
+PROBE_TIMEOUT_S = 30.0
 CODEC_PATH_ENV = "TACCOMPRESS_CODEC_PATH"
 
 
@@ -92,6 +94,8 @@ class CodecSpec:
                 raise ValueError(f"{self.codec_id}: lossy encode template missing {{quality}}")
             if not self.quality_ladder:
                 raise ValueError(f"{self.codec_id}: lossy spec needs a quality ladder")
+        if len(set(self.quality_ladder)) != len(self.quality_ladder):
+            raise ValueError(f"{self.codec_id}: quality ladder repeats a step")
 
 
 @dataclass(frozen=True)
@@ -125,13 +129,13 @@ def _write_image(image: TactileImage, path: Path, io_format: IOFormat):
     if io_format is IOFormat.PPM:
         write_ppm(image, path)
     else:
-        path.write_bytes(image.pixels.tobytes())
+        _files.write(path, image.pixels.tobytes())
 
 
 def _read_image(path: Path, like: TactileImage, io_format: IOFormat) -> TactileImage:
     if io_format is IOFormat.PPM:
         return read_ppm(path)
-    data = path.read_bytes()
+    data = _files.source(path).read()
     expected = like.sample_count
     if len(data) != expected:
         raise FormatError(
@@ -192,7 +196,7 @@ def run_external(
         _run(encode_cmd, scratch, timeout)
         if not enc.exists() or enc.stat().st_size == 0:
             raise CodecRunError(f"{spec.codec_id}: encode produced no output file")
-        payload = enc.read_bytes()
+        payload = _files.source(enc).read()
 
         decode_cmd = spec.decode_template.format(
             input=enc, output=dec, quality="" if quality is None else quality
@@ -224,7 +228,7 @@ def run_external(
         shutil.rmtree(scratch, ignore_errors=True)
 
 
-def probe(spec: CodecSpec, timeout: float = 30.0) -> ProbeResult:
+def probe(spec: CodecSpec) -> ProbeResult:
     """Check that a codec spec is well-formed and its tool round-trips a smoke image."""
     try:
         spec.validate()
@@ -245,7 +249,7 @@ def probe(spec: CodecSpec, timeout: float = 30.0) -> ProbeResult:
     )
     quality = spec.quality_ladder[0] if spec.kind is CodecKind.LOSSY else None
     try:
-        run_external(spec, smoke, quality=quality, timeout=timeout)
+        run_external(spec, smoke, quality=quality, timeout=PROBE_TIMEOUT_S)
     except (CodecRunError, CodecIntegrityError, FormatError) as exc:
         return ProbeResult(spec.codec_id, ProbeStatus.DEGRADED, str(exc))
     return ProbeResult(spec.codec_id, ProbeStatus.AVAILABLE)
@@ -292,10 +296,8 @@ def parse_codec_specs(text: str) -> list[CodecSpec]:
 
 def load_codec_specs(path: str | Path | None = None) -> list[CodecSpec]:
     """Load codec specs from a file, or the bundled defaults when no path is given."""
-    if path is None:
-        text = (
-            resources.files("taccompress").joinpath("data/external_codecs.spec").read_text()
-        )
-    else:
-        text = Path(path).read_text()
-    return parse_codec_specs(text)
+    if path is not None:
+        return parse_codec_specs(_files.read_utf8(path))
+    bundled = resources.files("taccompress") / "data/external_codecs.spec"
+    with resources.as_file(bundled) as bundled_path:
+        return parse_codec_specs(_files.read_utf8(bundled_path))

@@ -34,6 +34,8 @@ import numpy as np
 from .imaging import TactileImage
 
 DEFAULT_FEATURE_HEIGHT = 64
+KMEANS_MAX_ITER, KMEANS_TOL = 300, 1e-6
+TSNE_EARLY_EXAGGERATION, TSNE_EXAGGERATION_ITERS, TSNE_LEARNING_RATE = 12.0, 250, 200.0
 
 
 class ClassifierKind(Enum):
@@ -164,19 +166,13 @@ class _LinearClassifier:
     ``w = 0`` on the training rows' Gram matrix and form ``w`` once at the end
     (see the module docstring)."""
 
-    def __init__(self, epochs, learning_rate, l2):
-        self.epochs = epochs
-        self.learning_rate = learning_rate
-        self.l2 = l2
-
     def predict(self, rows):
         scores = np.asarray(rows, np.float64) @ self.w + self.b
         return [self.classes[i] for i in np.argmax(scores, axis=1)]
 
 
 class _SoftmaxClassifier(_LinearClassifier):
-    def __init__(self, epochs=1000, learning_rate=2.0, l2=1e-4):
-        super().__init__(epochs, learning_rate, l2)
+    epochs, learning_rate, l2 = 1000, 2.0, 1e-4
 
     def fit(self, rows, labels, seed):
         x = rows.astype(np.float64)
@@ -204,8 +200,7 @@ class _LinearSVMClassifier(_LinearClassifier):
     """One-vs-rest hinge loss trained by full-batch subgradient descent, all
     classes at once."""
 
-    def __init__(self, epochs=200, learning_rate=1.0, l2=1e-4):
-        super().__init__(epochs, learning_rate, l2)
+    epochs, learning_rate, l2 = 200, 1.0, 1e-4
 
     def fit(self, rows, labels, seed):
         x = rows.astype(np.float64)
@@ -244,9 +239,8 @@ def _gini_best_split(vals, y, n_classes):
 
 
 class _RandomForestClassifier:
-    def __init__(self, trees=100, min_samples=2):
+    def __init__(self, trees=100):
         self.trees = trees
-        self.min_samples = min_samples
 
     def fit(self, rows, labels, seed):
         x = rows.astype(np.float64)
@@ -271,7 +265,7 @@ class _RandomForestClassifier:
         nodes.append([-1, 0.0, -1, -1, -1])
         counts = np.bincount(y[rows], minlength=len(self.classes))
         best = None
-        if len(rows) >= self.min_samples and counts.max() < len(rows):
+        if counts.max() < len(rows):  # mixed classes, so two rows or more: split
             feat_ids = rng.choice(x.shape[1], size=m, replace=False)
             best = _gini_best_split(x[np.ix_(rows, feat_ids)], y[rows], len(self.classes))
         if best is None:
@@ -350,8 +344,7 @@ class KMeansResult:
     inertia: float
 
 
-def kmeans(rows: np.ndarray, k: int, seed: int = 0, max_iter: int = 300,
-           tol: float = 1e-6) -> KMeansResult:
+def kmeans(rows: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
     """Lloyd's algorithm with k-means++ seeding, deterministic under seed."""
     x = np.asarray(rows, np.float64)
     n = x.shape[0]
@@ -371,7 +364,7 @@ def kmeans(rows: np.ndarray, k: int, seed: int = 0, max_iter: int = 300,
         closest = np.minimum(closest, _pairwise_sq_dists(x, centers[i : i + 1]).ravel())
 
     prev_inertia = math.inf
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d = _pairwise_sq_dists(x, centers)
         assign = np.argmin(d, axis=1)
         inertia = float(d[np.arange(n), assign].sum())
@@ -381,7 +374,7 @@ def kmeans(rows: np.ndarray, k: int, seed: int = 0, max_iter: int = 300,
                 centers[ci] = members.mean(axis=0)
             else:  # re-seed an empty cluster on the farthest point
                 centers[ci] = x[np.argmax(d.min(axis=1))]
-        if prev_inertia - inertia <= tol * max(inertia, 1e-30):
+        if prev_inertia - inertia <= KMEANS_TOL * max(inertia, 1e-30):
             break
         prev_inertia = inertia
     d = _pairwise_sq_dists(x, centers)
@@ -429,8 +422,7 @@ def _perplexity_probabilities(dists: np.ndarray, perplexity: float) -> np.ndarra
 
 
 def tsne_2d(rows: np.ndarray, perplexity: float = 30.0, seed: int = 0,
-            iterations: int = 1000, early_exaggeration: float = 12.0,
-            exaggeration_iters: int = 250, learning_rate: float = 200.0) -> np.ndarray:
+            iterations: int = 1000) -> np.ndarray:
     """Exact (quadratic) t-SNE to 2 dimensions, deterministic under seed."""
     x = np.asarray(rows, np.float64)
     n = x.shape[0]
@@ -450,8 +442,8 @@ def tsne_2d(rows: np.ndarray, perplexity: float = 30.0, seed: int = 0,
     gains = np.ones_like(y)
 
     for it in range(iterations):
-        exaggeration = early_exaggeration if it < exaggeration_iters else 1.0
-        momentum = 0.5 if it < exaggeration_iters else 0.8
+        exaggeration = TSNE_EARLY_EXAGGERATION if it < TSNE_EXAGGERATION_ITERS else 1.0
+        momentum = 0.5 if it < TSNE_EXAGGERATION_ITERS else 0.8
 
         dy = _pairwise_sq_dists(y, y)
         num = 1.0 / (1.0 + dy)
@@ -465,7 +457,7 @@ def tsne_2d(rows: np.ndarray, perplexity: float = 30.0, seed: int = 0,
         flips = np.sign(grad) != np.sign(velocity)
         gains = np.where(flips, gains + 0.2, gains * 0.8)
         np.maximum(gains, 0.01, out=gains)
-        velocity = momentum * velocity - learning_rate * gains * grad
+        velocity = momentum * velocity - TSNE_LEARNING_RATE * gains * grad
         y = y + velocity
         y = y - y.mean(axis=0)
     return y

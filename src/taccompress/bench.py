@@ -37,8 +37,9 @@ A benchmark run is described by an INI-style config file::
 Comments go on lines of their own: a ``;`` after a value is part of it.
 Every key is optional, and ``CONFIG_KEYS`` lists them all.  Every emitted
 CSV embeds the fully resolved config and tool versions as
-``#`` comment lines, contains no timestamps, and is written atomically, so
-identical configs and seeds produce byte-identical reports.
+``#`` comment lines, contains no timestamps, and is written atomically as
+UTF-8, so identical configs and seeds produce byte-identical reports under
+any locale.
 """
 
 import configparser
@@ -48,14 +49,13 @@ import io
 import itertools
 import math
 import os
-import tempfile
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _files
 from . import codec as native
 from .adapters import CodecKind, CodecSpec, ProbeResult, load_codec_specs, probe, run_external
 from .analysis import (
@@ -138,6 +138,14 @@ class BenchConfig:
             raise ValueError("tile_height must be positive")
         if self.jobs < 0:
             raise ValueError(f"jobs must be >= 0, not {self.jobs}")
+        if self.dataset_kind == "synthetic":
+            unknown = [o for o in self.objects if o not in OBJECT_NAMES]
+            if unknown:
+                raise ValueError(f"unknown objects {unknown}; known: {', '.join(OBJECT_NAMES)}")
+        ladders = [*self.quality_ladders.items(), ("downstream", self.downstream_qualities)]
+        for name, steps in ladders:
+            if len(set(steps)) != len(steps):
+                raise ValueError(f"{name} qualities {steps} repeat a step")
         qps = list(self.quality_ladders.get(native.CODEC_ID_LOSSY, ()))
         if self.downstream_codec == native.CODEC_ID_LOSSY:
             qps += self.downstream_qualities
@@ -249,7 +257,7 @@ _SECTIONS = {name.split(".", 1)[0] for name in _PARSERS}
 
 def load_config(path) -> BenchConfig:
     try:
-        text = Path(path).read_text()
+        text = _files.read_utf8(path)
     except FileNotFoundError:
         raise FormatError(f"config file not found: {path}") from None
     return parse_config(text)
@@ -316,9 +324,6 @@ def iter_corpus(config: BenchConfig) -> Iterator[GraspTrace]:
             yield load_trace(f)
         return
     profiles = {p.name: p for p in default_profiles()}
-    unknown = [o for o in config.objects if o not in profiles]
-    if unknown:
-        raise ValueError(f"unknown objects: {unknown}")
     for obj, pose, rep in itertools.product(config.objects, config.poses, range(config.reps)):
         yield generate_trace(profiles[obj], pose, config.plan,
                              sample_rate_hz=config.sample_rate_hz,
@@ -715,28 +720,18 @@ def run_downstream_suite(config: BenchConfig, corpus=None) -> BenchReport:
     return BenchReport(header=_report_header(config), accuracy_rows=rows)
 
 
-def _atomic_write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _csv_text(header_lines: list[str], columns: list[str], rows) -> str:
+def _write_csv(path: Path, header_lines: list[str], columns: list[str], rows) -> Path:
+    """Write a report CSV as UTF-8: ``#`` header lines, then the column row
+    and ``rows``.  Creates the report directory."""
     buf = io.StringIO()
     for line in header_lines:
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+    writer.writerows(rows)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _files.write(path, buf.getvalue().encode("utf-8"))
+    return path
 
 
 def _header_lines(report: BenchReport) -> list[str]:
@@ -756,10 +751,9 @@ def write_lossless_report(report: BenchReport, out_dir) -> list[Path]:
          format_metric(c["bpss"]), format_metric(c["cr"])]
         for c in report.cells
     ]
-    cells_path = out / "lossless_cells.csv"
-    _atomic_write(cells_path, _csv_text(
-        header, ["object", "pose", "codec", "traces", "bits", "bpss", "cr"], cell_rows
-    ))
+    cells_path = _write_csv(out / "lossless_cells.csv", header,
+                            ["object", "pose", "codec", "traces", "bits", "bpss", "cr"],
+                            cell_rows)
 
     def mean_bpss(key=None, name=None):  # per codec, over the matching cells
         return [_mean(c["bpss"] for c in report.cells
@@ -774,35 +768,29 @@ def write_lossless_report(report: BenchReport, out_dir) -> list[Path]:
     average = mean_bpss()
     table_rows.append(["average", "bpss"] + [format_metric(v) for v in average])
     table_rows.append(["average", "cr"] + [format_metric(compression_ratio(v)) for v in average])
-    table_path = out / "lossless_table.csv"
-    _atomic_write(table_path, _csv_text(header, ["kind", "name"] + codecs, table_rows))
-    return [cells_path, table_path]
+    return [cells_path,
+            _write_csv(out / "lossless_table.csv", header, ["kind", "name"] + codecs, table_rows)]
 
 
 def write_lossy_report(report: BenchReport, out_dir) -> list[Path]:
     out = Path(out_dir)
     header = _header_lines(report)
-    paths = []
 
     point_rows = [
         [c["codec"], c["quality"], format_metric(c["bpss"]), format_metric(c["cr"]),
          format_metric(c["psnr"]), format_metric(c["msssim"])]
         for c in report.cells
     ]
-    p = out / "rd_points.csv"
-    _atomic_write(p, _csv_text(
-        header, ["codec", "quality", "bpss", "cr", "psnr_db", "ms_ssim"], point_rows
-    ))
-    paths.append(p)
+    paths = [_write_csv(out / "rd_points.csv", header,
+                        ["codec", "quality", "bpss", "cr", "psnr_db", "ms_ssim"], point_rows)]
 
     for cid, curve in sorted(report.rd_curves.items()):
         rows = [
             [format_metric(pt.bpss), format_metric(pt.psnr_db), format_metric(pt.ms_ssim)]
             for pt in curve.points
         ]
-        cp = out / f"rd_curve_{cid}.csv"
-        _atomic_write(cp, _csv_text(header, ["bpss", "psnr_db", "ms_ssim"], rows))
-        paths.append(cp)
+        paths.append(_write_csv(out / f"rd_curve_{cid}.csv", header,
+                                ["bpss", "psnr_db", "ms_ssim"], rows))
 
     if report.bd_rows:
         rows = [
@@ -811,13 +799,9 @@ def write_lossy_report(report: BenchReport, out_dir) -> list[Path]:
              r["context"], r.get("note", "")]
             for r in report.bd_rows
         ]
-        bp = out / "bdrate.csv"
-        _atomic_write(bp, _csv_text(
-            header,
-            ["reference", "test", "metric", "bd_rate_percent", "context", "note"],
-            rows,
-        ))
-        paths.append(bp)
+        paths.append(_write_csv(
+            out / "bdrate.csv", header,
+            ["reference", "test", "metric", "bd_rate_percent", "context", "note"], rows))
     return paths
 
 
@@ -832,8 +816,5 @@ def write_downstream_report(report: BenchReport, out_dir) -> list[Path]:
         + [format_metric(r[c]) for c in classifier_cols]
         for r in report.accuracy_rows
     ]
-    p = out / "downstream_accuracy.csv"
-    _atomic_write(p, _csv_text(
-        header, ["source", "quality", "bpss"] + classifier_cols, rows
-    ))
-    return [p]
+    return [_write_csv(out / "downstream_accuracy.csv", header,
+                       ["source", "quality", "bpss"] + classifier_cols, rows)]

@@ -8,12 +8,13 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 codec error.
 import argparse
 import csv
 import dataclasses
+import io
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bench
+from . import __version__, _files, bench
 from .adapters import CodecKind, load_codec_specs, probe
 from .analysis import adjusted_rand_index, featurize, kmeans, tsne_2d
 from .codec import (
@@ -161,8 +162,8 @@ def _cmd_metrics(args):
 
 def _read_curve(path: Path, codec_id: str) -> RDCurve:
     points = []
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    lines = io.StringIO(_files.read_utf8(path), newline="")
+    rows = [r for r in csv.reader(lines) if r and not r[0].startswith("#")]
     if not rows:
         raise FormatError(f"{path}: no header row")
     header = [c.strip().lower() for c in rows[0]]
@@ -248,20 +249,18 @@ def _cmd_cluster(args):
     k = len(set(labels))
     result = kmeans(embedding, k, seed=config.split_seed)
     ari = adjusted_rand_index(labels, result.assignments)
-    out_dir = Path(config.output_directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "cluster_embedding.csv"
     rows = [
         [labels[i], format_metric(float(embedding[i, 0])),
          format_metric(float(embedding[i, 1])), int(result.assignments[i])]
         for i in range(len(labels))
     ]
-    bench._atomic_write(out, bench._csv_text(
+    out = bench._write_csv(
+        Path(config.output_directory) / "cluster_embedding.csv",
         [f"tool = taccompress {__version__}", f"k = {k}",
          f"adjusted_rand_index = {format_metric(ari)}"],
         ["label", "x", "y", "cluster"],
         rows,
-    ))
+    )
     print(out)
     print(f"adjusted_rand_index = {format_metric(ari)}")
     return EXIT_OK

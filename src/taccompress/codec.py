@@ -17,17 +17,18 @@ The checksum trails the payload because range coders desync silently: the
 decoder recomputes the CRC of its own reconstruction and rejects the blob on
 mismatch.  Rate accounting everywhere in the toolkit counts payload bytes
 only (8 * len(payload) bits).
+
+``write_blob`` writes to a path (replaced atomically) or a binary stream;
+``read_blob`` reads bytes, a path or a binary stream.
 """
 
-import io
 import struct
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import rangecoder
+from . import _files, rangecoder
 from .errors import CodecIntegrityError, FormatError
 from .imaging import TactileImage
 from .layout import AXIS_COUNT
@@ -135,34 +136,17 @@ def write_blob(blob: CompressedBlob, sink) -> int:
         "<BBBIIBQ", TLC1_VERSION, mode, qp, blob.width, blob.height,
         blob.channels, len(blob.payload)
     )
-    data = header + blob.payload + struct.pack("<I", blob.checksum)
-    if isinstance(sink, str) or hasattr(sink, "__fspath__"):
-        with open(sink, "wb") as fh:
-            fh.write(data)
-    else:
-        sink.write(data)
-    return len(data)
+    return _files.write(sink, header + blob.payload + struct.pack("<I", blob.checksum))
 
 
 def read_blob(source) -> CompressedBlob:
     """Parse a TLC1 container back into a blob."""
-    if isinstance(source, str) or isinstance(source, Path):
-        with open(source, "rb") as fh:
-            source = io.BytesIO(fh.read())
-    elif isinstance(source, (bytes, bytearray)):
-        source = io.BytesIO(source)
-
-    def need(n, what):
-        data = source.read(n)
-        if len(data) != n:
-            raise FormatError(f"truncated TLC1 blob while reading {what}")
-        return data
-
-    magic = need(4, "magic")
+    source = _files.source(source)
+    magic = _files.read_exact(source, 4, "TLC1 magic")
     if magic != TLC1_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {TLC1_MAGIC!r}")
     version, mode, qp, width, height, channels, length = struct.unpack(
-        "<BBBIIBQ", need(20, "header")
+        "<BBBIIBQ", _files.read_exact(source, 20, "TLC1 header")
     )
     if version != TLC1_VERSION:
         raise FormatError(f"unsupported TLC1 version {version}")
@@ -179,8 +163,8 @@ def read_blob(source) -> CompressedBlob:
         raise FormatError(
             f"{width}x{height} image cannot be coded in a {length}-byte payload"
         )
-    payload = need(length, "payload")
-    (checksum,) = struct.unpack("<I", need(4, "checksum"))
+    payload = _files.read_exact(source, length, "TLC1 payload")
+    (checksum,) = struct.unpack("<I", _files.read_exact(source, 4, "TLC1 checksum"))
     return CompressedBlob(
         codec_id=CODEC_ID_LOSSLESS if mode == 0 else CODEC_ID_LOSSY,
         width=width,

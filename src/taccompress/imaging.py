@@ -7,13 +7,16 @@ the covered trace segment; nothing is resampled or rescaled.
 
 Binary PPM (P6) is the interchange format with external codecs.  The header
 is the fixed template ``P6\\n{width} {height}\\n255\\n`` with exactly one
-whitespace byte between tokens, followed by the raw raster.
+whitespace byte between tokens, followed by the raw raster.  ``write_ppm``
+writes to a path (replaced atomically) or a binary stream; ``read_ppm``
+reads bytes, a path or a binary stream.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _files
 from .errors import FormatError
 from .layout import AXIS_COUNT, GraspPose, SensorLayout
 from .trace import GraspTrace
@@ -116,13 +119,7 @@ def ppm_bytes(image: TactileImage) -> bytes:
 
 def write_ppm(image: TactileImage, sink) -> int:
     """Write binary P6; returns bytes written."""
-    data = ppm_bytes(image)
-    if isinstance(sink, str) or hasattr(sink, "__fspath__"):
-        with open(sink, "wb") as fh:
-            fh.write(data)
-    else:
-        sink.write(data)
-    return len(data)
+    return _files.write(sink, ppm_bytes(image))
 
 
 def _ppm_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -147,24 +144,17 @@ def _ppm_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 def read_ppm(source) -> TactileImage:
     """Read a binary P6 stream with maxval 255; exact inverse of ``write_ppm``."""
-    if isinstance(source, str) or hasattr(source, "__fspath__"):
-        with open(source, "rb") as fh:
-            data = fh.read()
-    elif isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    else:
-        data = source.read()
-
+    data = _files.source(source).read()
     magic, pos = _ppm_token(data, 0)
     if magic != b"P6":
-        raise FormatError(f"not a binary PPM: magic {magic!r}")
+        raise FormatError(f"not a binary PPM: magic {magic[:16]!r}")
     fields = []
     for name in ("width", "height", "maxval"):
         token, pos = _ppm_token(data, pos)
         try:
             fields.append(int(token))
         except ValueError:
-            raise FormatError(f"malformed PPM {name}: {token!r}") from None
+            raise FormatError(f"malformed PPM {name}: {token[:16]!r}") from None
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise FormatError(f"bad PPM dimensions {width}x{height}")

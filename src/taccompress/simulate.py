@@ -204,12 +204,11 @@ _PROFILE_PARAMS = {
 }
 
 
-def make_profile(name: str, layout: SensorLayout | None = None) -> ObjectProfile:
+def make_profile(name: str) -> ObjectProfile:
     if name not in _PROFILE_PARAMS:
         raise ValueError(f"unknown object profile {name!r}")
-    layout = layout or default_layout()
     scale, peak, spread, sigma, irregularity = _PROFILE_PARAMS[name]
-    footprints, weights = _make_footprints(layout, name, scale)
+    footprints, weights = _make_footprints(default_layout(), name, scale)
     return ObjectProfile(
         name=name,
         footprints=footprints,
@@ -221,10 +220,9 @@ def make_profile(name: str, layout: SensorLayout | None = None) -> ObjectProfile
     )
 
 
-def default_profiles(layout: SensorLayout | None = None) -> list[ObjectProfile]:
+def default_profiles() -> list[ObjectProfile]:
     """The eight benchmark objects, hardest-to-compress knobs on the apple."""
-    layout = layout or default_layout()
-    return [make_profile(name, layout) for name in OBJECT_NAMES]
+    return [make_profile(name) for name in OBJECT_NAMES]
 
 
 def generate_trace(
@@ -233,12 +231,11 @@ def generate_trace(
     plan: PhasePlan | None = None,
     sample_rate_hz: float = 100.0,
     seed: int = 0,
-    layout: SensorLayout | None = None,
     repetition_id: int = 0,
 ) -> GraspTrace:
     """Synthesize one grasp trace; deterministic for fixed arguments."""
     plan = plan or PhasePlan()
-    layout = layout or default_layout()
+    layout = default_layout()
     if sample_rate_hz <= 0:
         raise ValueError("sample_rate_hz must be positive")
     footprint = profile.footprints.get(pose)

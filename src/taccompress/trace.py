@@ -19,15 +19,18 @@ MPTD container, all multi-byte integers little-endian::
     frames      u32 frame count
     payload     frame-major raster, one frame = units in canonical order,
                 one unit = x, y, z bytes
+
+``save_trace`` writes to a path (replaced atomically) or a binary stream;
+``load_trace`` reads one container from bytes, a path or a binary stream.
 """
 
 import io
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import _files
 from .errors import FormatError
 from .layout import (
     AXIS_COUNT,
@@ -103,10 +106,7 @@ def header_size(trace: GraspTrace) -> int:
 
 
 def save_trace(trace: GraspTrace, destination) -> int:
-    """Write the MPTD container; returns bytes written.
-
-    ``destination`` is a binary file object or a path.
-    """
+    """Write the MPTD container to a path or binary stream; returns bytes written."""
     if trace.frame_count == 0:
         raise ValueError("refusing to write a trace with no frames")
     label = trace.object_label.encode("utf-8")
@@ -129,40 +129,18 @@ def save_trace(trace: GraspTrace, destination) -> int:
             out.write(struct.pack("<BH", sensor.position.value, sensor.unit_count))
     out.write(struct.pack("<I", trace.frame_count))
     out.write(trace.frames.tobytes())
-    data = out.getvalue()
-
-    if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as fh:
-            fh.write(data)
-    else:
-        destination.write(data)
-    return len(data)
-
-
-def _read_exact(source, n: int, what: str) -> bytes:
-    data = source.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated MPTD container while reading {what}")
-    return data
+    return _files.write(destination, out.getvalue())
 
 
 def load_trace(source) -> GraspTrace:
-    """Read an MPTD container back into a trace.
-
-    ``source`` is a binary file object, a path, or a bytes object.  Reads
-    exactly one container; trailing stream content is left untouched.
-    """
-    if isinstance(source, (bytes, bytearray)):
-        source = io.BytesIO(source)
-    elif isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            return load_trace(fh.read())
-
-    magic = _read_exact(source, 4, "magic")
+    """Read one MPTD container back into a trace; trailing stream content is
+    left unread."""
+    source = _files.source(source)
+    magic = _files.read_exact(source, 4, "MPTD magic")
     if magic != MPTD_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MPTD_MAGIC!r}")
     version, rate_mhz, pose_code, repetition = struct.unpack(
-        "<HIBH", _read_exact(source, 9, "fixed header")
+        "<HIBH", _files.read_exact(source, 9, "MPTD fixed header")
     )
     if version != MPTD_VERSION:
         raise FormatError(f"unsupported MPTD version {version}")
@@ -172,23 +150,23 @@ def load_trace(source) -> GraspTrace:
         pose = GraspPose(pose_code)
     except ValueError:
         raise FormatError(f"unknown pose code {pose_code}") from None
-    (label_len,) = struct.unpack("<B", _read_exact(source, 1, "label length"))
+    (label_len,) = struct.unpack("<B", _files.read_exact(source, 1, "MPTD label length"))
     try:
-        label = _read_exact(source, label_len, "object label").decode("utf-8")
+        label = _files.read_exact(source, label_len, "MPTD object label").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"object label is not UTF-8: {exc}") from None
-    (finger_count,) = struct.unpack("<B", _read_exact(source, 1, "finger count"))
+    (finger_count,) = struct.unpack("<B", _files.read_exact(source, 1, "MPTD finger count"))
     if finger_count == 0:
         raise FormatError("layout has no fingers")
     fingers = []
     for fi in range(finger_count):
-        (sensor_count,) = struct.unpack("<B", _read_exact(source, 1, "sensor count"))
+        (sensor_count,) = struct.unpack("<B", _files.read_exact(source, 1, "MPTD sensor count"))
         if sensor_count == 0:
             raise FormatError(f"finger {fi} has no sensors")
         sensors = []
         for _ in range(sensor_count):
             pos_code, unit_count = struct.unpack(
-                "<BH", _read_exact(source, 3, "sensor spec")
+                "<BH", _files.read_exact(source, 3, "MPTD sensor spec")
             )
             try:
                 position = SensorPosition(pos_code)
@@ -200,11 +178,11 @@ def load_trace(source) -> GraspTrace:
         fingers.append(FingerLayout(finger_id=fi, sensors=tuple(sensors)))
     layout = SensorLayout(fingers=tuple(fingers))
 
-    (frame_count,) = struct.unpack("<I", _read_exact(source, 4, "frame count"))
+    (frame_count,) = struct.unpack("<I", _files.read_exact(source, 4, "MPTD frame count"))
     if frame_count == 0:
         raise FormatError("container promises zero frames")
     payload_len = frame_count * layout.total_units * AXIS_COUNT
-    payload = _read_exact(source, payload_len, "frame payload")
+    payload = _files.read_exact(source, payload_len, "MPTD frame payload")
     frames = np.frombuffer(payload, dtype=np.uint8).reshape(
         frame_count, layout.total_units, AXIS_COUNT
     )

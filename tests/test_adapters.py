@@ -72,6 +72,18 @@ class TestSpecValidation:
                 quality_ladder=(1, 2, 3, 4),
             ).validate()
 
+    def test_repeated_ladder_step_is_spec_invalid(self):
+        spec = CodecSpec(
+            codec_id="twice",
+            kind=CodecKind.LOSSY,
+            encode_template="gzip -c {input} > {output} # {quality}",
+            decode_template="gzip -dc {input} > {output}",
+            quality_ladder=(8, 8, 16),
+        )
+        result = probe(spec)
+        assert result.status is ProbeStatus.SPEC_INVALID
+        assert "repeats" in result.detail
+
     def test_missing_executable_is_unavailable(self):
         spec = CodecSpec(
             codec_id="ghost",

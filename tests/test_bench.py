@@ -56,7 +56,7 @@ def ini_text(config):
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 CODEC_IDS = st.sampled_from(["tlc1", "tlc1-lossy", "gzip", "hm-scc", "vtm-intra"])
 PATHS = st.text("abc/._-0123456789", max_size=12)
-QUALITIES = st.lists(st.integers(codec.QP_MIN, codec.QP_MAX), max_size=6).map(tuple)
+QUALITIES = st.lists(st.integers(codec.QP_MIN, codec.QP_MAX), max_size=6, unique=True).map(tuple)
 
 
 @pytest.fixture(scope="module")
@@ -115,8 +115,12 @@ class TestConfig:
         "[dataset]\nplan_s = inf, 0.01, 0.01, 0, 0\n",
         "[dataset]\nplan_s = 1e308, 1e308, 0, 0, 0\n",
         "[run]\njobs = -1\n",
+        "[run]\nquality_ladder.tlc1-lossy = 8, 8, 16\n",
+        "[downstream]\nqualities = 8, 8\n",
+        "[dataset]\nobjects = eggg\n",
     ], ids=["nan-rate", "zero-rate", "ladder-qp", "downstream-qp", "feature-height",
-            "train-fraction", "nan-plan", "inf-plan", "nonfinite-sum-plan", "negative-jobs"])
+            "train-fraction", "nan-plan", "inf-plan", "nonfinite-sum-plan", "negative-jobs",
+            "repeated-ladder-step", "repeated-downstream-quality", "unknown-object"])
     def test_out_of_range_values_rejected_at_parse_time(self, text):
         with pytest.raises(FormatError):
             bench.parse_config(text)

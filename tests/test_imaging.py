@@ -116,6 +116,15 @@ def test_ppm_rejects_bad_magic():
         read_ppm(b"P5\n2 1\n255\n" + b"\x00" * 2)
 
 
+@pytest.mark.parametrize("data", [b"P7" + b"x" * 1_000_000,
+                                  b"P6\n" + b"9" * 1_000_000 + b" 1\n255\n"],
+                         ids=["magic", "width"])
+def test_ppm_error_quotes_only_a_short_prefix_of_a_long_token(data):
+    with pytest.raises(FormatError) as caught:
+        read_ppm(data)
+    assert len(str(caught.value)) < 100
+
+
 def test_ppm_rejects_wrong_maxval():
     with pytest.raises(FormatError, match="maxval"):
         read_ppm(b"P6\n2 1\n65535\n" + b"\x00" * 12)

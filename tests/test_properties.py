@@ -1,6 +1,7 @@
 """Property tests for the TLC1 codec: round trips, idempotence, hostile input,
 and bit-exactness against a per-sample reference coder.  Hostile input also
-goes to the other parsers: MPTD containers, PPM streams and bench configs."""
+goes to the other parsers: MPTD containers, PPM streams and bench configs.
+The binary containers get it both as bytes and as a buffered stream."""
 
 import io
 import struct
@@ -9,6 +10,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from test_file_boundary import oversized_mptd, oversized_tlc1
 
 from taccompress import bench, codec, rangecoder
 from taccompress.errors import CodecIntegrityError, FormatError
@@ -22,6 +24,18 @@ ONE, SHIFT, TOP, MASK32 = 1 << 15, 5, 1 << 24, 0xFFFFFFFF
 images = st.tuples(st.integers(1, 5), st.integers(1, 64)).flatmap(
     lambda hw: arrays(np.uint8, (*hw, 3))
 )
+
+
+def parse_bytes_and_stream(parse, data, errors=FormatError):
+    """``parse`` of ``data`` given as bytes and as a buffered stream: each
+    raises only ``errors``, and both give the same result or error type."""
+    outcomes = []
+    for source in (data, io.BufferedReader(io.BytesIO(data))):
+        try:
+            outcomes.append(parse(source))
+        except errors as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 @SETTINGS
@@ -55,11 +69,10 @@ containers = st.builds(
 
 @SETTINGS
 @given(st.one_of(st.binary(max_size=128), containers))
+@example(oversized_tlc1())
 def test_arbitrary_bytes_raise_only_format_or_integrity_errors(data):
-    try:
-        codec.decode(codec.read_blob(data))
-    except (FormatError, CodecIntegrityError):
-        pass
+    parse_bytes_and_stream(lambda source: codec.decode(codec.read_blob(source)), data,
+                           (FormatError, CodecIntegrityError))
 
 
 def _mutated(valid: bytes):
@@ -88,21 +101,16 @@ RATE_AT, LABEL_AT = 6, 14  # byte offsets of the sample rate and of the object l
 @given(st.one_of(st.binary(max_size=64), _mutated(MPTD)))
 @example(MPTD[:LABEL_AT] + b"\xff" + MPTD[LABEL_AT + 1:])
 @example(MPTD[:RATE_AT] + bytes(4) + MPTD[RATE_AT + 4:])
+@example(oversized_mptd())
 def test_arbitrary_bytes_to_load_trace_raise_only_format_errors(data):
-    try:
-        load_trace(data)
-    except FormatError:
-        pass
+    parse_bytes_and_stream(load_trace, data)
 
 
 @SETTINGS
 @given(st.one_of(st.binary(max_size=64),
                  _mutated(ppm_bytes(TactileImage(np.full((2, 3, 3), 9, np.uint8))))))
 def test_arbitrary_bytes_to_read_ppm_raise_only_format_errors(data):
-    try:
-        read_ppm(data)
-    except FormatError:
-        pass
+    parse_bytes_and_stream(read_ppm, data)
 
 
 _config_keys = sorted({name.split(".", 1)[1] for name, *_ in bench.CONFIG_KEYS})
