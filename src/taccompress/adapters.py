@@ -43,7 +43,7 @@ import numpy as np
 
 from . import _files
 from .codec import CompressedBlob
-from .errors import CodecIntegrityError, CodecRunError, CodecUnavailableError, FormatError
+from .errors import CodecIntegrityError, CodecRunError, FormatError
 from .imaging import TactileImage, read_ppm, write_ppm
 
 DEFAULT_TIMEOUT_S = 300.0

@@ -40,11 +40,17 @@ CSV embeds the fully resolved config and tool versions as
 ``#`` comment lines, contains no timestamps, and is written atomically as
 UTF-8, so identical configs and seeds produce byte-identical reports under
 any locale.
+
+Every suite resolves its codec ids before it takes the corpus.  A suite
+with nothing to run stops there: an unknown codec id, or a request that
+holds no codec of the suite's kind, raises ``FormatError`` (CLI exit 2)
+before any probe runs or any trace exists; a request whose every codec of
+that kind failed its probe raises ``CodecUnavailableError`` (exit 3).  An
+empty corpus raises ``FormatError``.
 """
 
 import configparser
 import csv
-import hashlib
 import io
 import itertools
 import math
@@ -81,7 +87,7 @@ from .metrics import (
     format_metric,
     ms_ssim,
 )
-from .simulate import OBJECT_NAMES, PhasePlan, default_profiles, generate_trace
+from .simulate import OBJECT_NAMES, PhasePlan, _stable_seed, default_profiles, generate_trace
 from .trace import GraspTrace, load_trace
 
 DEFAULT_LADDER = (2, 4, 8, 16, 32, 64)
@@ -306,13 +312,6 @@ def config_from_items(items, **fields) -> BenchConfig:
         raise FormatError(f"bad config: {exc}") from None
 
 
-def _trace_seed(base_seed: int, obj: str, pose: GraspPose, rep: int) -> int:
-    digest = hashlib.sha256(
-        f"trace\x1f{base_seed}\x1f{obj}\x1f{pose.name}\x1f{rep}".encode()
-    ).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
 def iter_corpus(config: BenchConfig) -> Iterator[GraspTrace]:
     """Yield the benchmark traces, synthetic or ingested, one at a time."""
     if config.dataset_kind == "ingest":
@@ -327,7 +326,8 @@ def iter_corpus(config: BenchConfig) -> Iterator[GraspTrace]:
     for obj, pose, rep in itertools.product(config.objects, config.poses, range(config.reps)):
         yield generate_trace(profiles[obj], pose, config.plan,
                              sample_rate_hz=config.sample_rate_hz,
-                             seed=_trace_seed(config.seed, obj, pose, rep), repetition_id=rep)
+                             seed=_stable_seed("trace", str(config.seed), obj, pose.name, str(rep)),
+                             repetition_id=rep)
 
 
 def build_corpus(config: BenchConfig) -> list[GraspTrace]:
@@ -394,23 +394,34 @@ def _resolve_codecs(config: BenchConfig, codec_ids, want_kind: CodecKind | None 
                     ) -> tuple[dict[str, CodecEntry], list[ProbeResult]]:
     """Resolve codec ids of ``want_kind`` (any kind when None) to a codec
     table, in request order; external codecs that fail their probe are
-    returned as skipped instead."""
+    returned as skipped instead.
+
+    An unknown id, or a request with no id of ``want_kind``, raises
+    ``FormatError`` before any probe runs; ``CodecUnavailableError`` when
+    every codec of the kind failed its probe."""
     specs = {s.codec_id: s for s in load_codec_specs(config.codec_specs_path or None)}
-    table, skipped = {}, []
+    wanted = []
     for cid in codec_ids:
-        entry = TLC1_CODECS.get(cid)
-        if entry is None and cid not in specs:
+        if cid not in TLC1_CODECS and cid not in specs:
             raise FormatError(f"codec {cid!r} not found in the codec spec file")
-        kind = entry.kind if entry else specs[cid].kind
-        if want_kind is not None and kind is not want_kind:
+        kind = TLC1_CODECS[cid].kind if cid in TLC1_CODECS else specs[cid].kind
+        if want_kind in (None, kind) and cid not in wanted:
+            wanted.append(cid)
+    if not wanted:
+        raise FormatError(f"no {want_kind.value} codec among {', '.join(codec_ids)}")
+    table, skipped = {}, []
+    for cid in wanted:
+        if cid in TLC1_CODECS:
+            table[cid] = TLC1_CODECS[cid]
             continue
-        if entry is None:
-            result = probe(specs[cid])
-            if not result.available:
-                skipped.append(result)
-                continue
-            entry = _external_entry(specs[cid])
-        table[cid] = entry
+        result = probe(specs[cid])
+        if result.available:
+            table[cid] = _external_entry(specs[cid])
+        else:
+            skipped.append(result)
+    if not table:
+        raise CodecUnavailableError("every requested codec is unavailable: " + "; ".join(
+            f"{s.codec_id} ({s.status.value}) {s.detail}" for s in skipped))
     return table, skipped
 
 
@@ -525,25 +536,25 @@ def _report_header(config: BenchConfig) -> list[tuple[str, str]]:
     ] + config.resolved_items()
 
 
-def run_lossless_suite(config: BenchConfig, corpus=None) -> BenchReport:
-    """Compress every trace with every requested lossless codec and tabulate
-    bpss / CR per object and pose, Table-1 style.  Codec ids are resolved
-    before the corpus exists."""
-    table, skipped = _resolve_codecs(config, config.codecs, CodecKind.LOSSLESS)
-    if not table:
-        raise CodecIntegrityError("all requested lossless codecs are unavailable")
+def _take_corpus(config: BenchConfig, corpus) -> list[GraspTrace]:
+    """The caller's corpus, else the config's; ``FormatError`` when empty."""
     corpus = corpus if corpus is not None else build_corpus(config)
     if not corpus:
         raise FormatError("empty corpus")
-    runner = CodecRunner(table, config.tile_height, compute_msssim=False)
+    return corpus
 
-    items = [(trace, cid) for cid in table for trace in corpus]
-    results = _parallel_results(
-        items, lambda it: runner.run_trace(it[0], it[1], None), config.worker_count()
-    )
+
+def run_lossless_suite(config: BenchConfig, corpus=None) -> BenchReport:
+    """Compress every trace with every requested lossless codec and tabulate
+    bpss / CR per object and pose, Table-1 style."""
+    table, skipped = _resolve_codecs(config, config.codecs, CodecKind.LOSSLESS)
+    corpus = _take_corpus(config, corpus)
+    runner = CodecRunner(table, config.tile_height, compute_msssim=False)
+    items = [(trace, cid, None) for cid in table for trace in corpus]
+    results = _parallel_results(items, lambda it: runner.run_trace(*it), config.worker_count())
 
     by_cell = {}
-    for (trace, cid), res in zip(items, results):
+    for (trace, cid, _quality), res in zip(items, results):
         by_cell.setdefault((trace.object_label, trace.pose_label, cid), []).append(res)
 
     cells = []
@@ -576,41 +587,29 @@ def run_lossy_suite(config: BenchConfig, corpus=None) -> BenchReport:
               if cid not in table and cid not in unavailable]
     if strays:
         raise FormatError(f"BD pair codecs {strays} are not lossy codecs of this run")
-    if not table:
-        raise CodecIntegrityError("all requested lossy codecs are unavailable")
-    corpus = corpus if corpus is not None else build_corpus(config)
-    if not corpus:
-        raise FormatError("empty corpus")
+    corpus = _take_corpus(config, corpus)
     rows = min(config.tile_height, *(t.frame_count for t in corpus))
     if rows < MSSSIM_WINDOW:
         raise FormatError(f"MS-SSIM needs tiles and traces of {MSSSIM_WINDOW} rows, not {rows}")
     runner = CodecRunner(table, config.tile_height, compute_msssim=True)
+    items = [(trace, cid, quality) for cid, entry in table.items()
+             for quality in config.quality_ladders.get(cid, entry.ladder) for trace in corpus]
+    results = _parallel_results(items, lambda it: runner.run_trace(*it), config.worker_count())
 
-    items = []
-    for cid, entry in table.items():
-        for quality in config.quality_ladders.get(cid, entry.ladder):
-            for trace in corpus:
-                items.append((trace, cid, quality))
-    results = _parallel_results(
-        items, lambda it: runner.run_trace(it[0], it[1], it[2]), config.worker_count()
-    )
-
-    pooled = {}
+    by_point = {}
     for (_trace, cid, quality), res in zip(items, results):
-        agg = pooled.setdefault((cid, quality), {"bits": 0, "samples": 0, "mse": 0.0, "mss": 0.0})
-        agg["bits"] += res.bits
-        agg["samples"] += res.sub_samples
-        agg["mse"] += res.mse_sum
-        agg["mss"] += res.msssim_weighted
+        by_point.setdefault((cid, quality), []).append(res)
 
     cells = []
     curve_points = {}
-    for (cid, quality) in sorted(pooled, key=lambda k: (k[0], k[1])):
-        agg = pooled[(cid, quality)]
-        rate = bpss_of(agg["bits"], agg["samples"])
-        mse = agg["mse"] / agg["samples"]
+    for (cid, quality) in sorted(by_point):
+        group = by_point[(cid, quality)]
+        bits = sum(r.bits for r in group)
+        samples = sum(r.sub_samples for r in group)
+        rate = bpss_of(bits, samples)
+        mse = sum(r.mse_sum for r in group) / samples
         point_psnr = math.inf if mse == 0 else 10.0 * math.log10(255.0**2 / mse)
-        point_msssim = agg["mss"] / agg["samples"]
+        point_msssim = sum(r.msssim_weighted for r in group) / samples
         cells.append(
             {
                 "object": "*",
@@ -621,7 +620,7 @@ def run_lossy_suite(config: BenchConfig, corpus=None) -> BenchReport:
                 "cr": compression_ratio(rate),
                 "psnr": point_psnr,
                 "msssim": point_msssim,
-                "bits": agg["bits"],
+                "bits": bits,
             }
         )
         curve_points.setdefault(cid, []).append(
@@ -679,25 +678,17 @@ def run_lossy_suite(config: BenchConfig, corpus=None) -> BenchReport:
 
 def run_downstream_suite(config: BenchConfig, corpus=None) -> BenchReport:
     """Classify objects from raw and compressed features, Table-2 style.
-    The codec is resolved before the corpus exists."""
+    Every quality is coded in one pool call, whose workers return each
+    trace's rate and features rather than its reconstruction."""
     cid = config.downstream_codec
-    table, skipped = _resolve_codecs(config, (cid,))
-    if skipped:
-        raise CodecUnavailableError(
-            f"downstream codec {cid}: {skipped[0].status.value} {skipped[0].detail}"
-        )
-    corpus = corpus if corpus is not None else build_corpus(config)
-    if not corpus:
-        raise FormatError("empty corpus")
+    table, _skipped = _resolve_codecs(config, (cid,))
+    corpus = _take_corpus(config, corpus)
     labels = tuple(t.object_label for t in corpus)
     runner = CodecRunner(table, config.tile_height, compute_msssim=False)
 
-    def accuracy_row(source, quality, rate, images):
-        features = FeatureMatrix(
-            rows=np.stack([featurize(img, config.feature_height) for img in images]),
-            labels=labels,
-        )
-        train, test = split(features, config.train_fraction, config.split_seed)
+    def accuracy_row(source, quality, rate, features):
+        train, test = split(FeatureMatrix(rows=np.stack(features), labels=labels),
+                            config.train_fraction, config.split_seed)
         row = {"source": source, "quality": "" if quality is None else quality,
                "bpss": rate}
         for kind in config.classifiers:
@@ -705,16 +696,19 @@ def run_downstream_suite(config: BenchConfig, corpus=None) -> BenchReport:
             row[kind.value] = accuracy(predict(clf, test.rows), test.labels)
         return row
 
-    rows = [accuracy_row("raw", None, 8.0, [trace_to_image(t) for t in corpus])]
-    for quality in sorted(config.downstream_qualities):
-        results = _parallel_results(
-            corpus,
-            lambda t: runner.run_trace(t, cid, quality, keep_recon=True),
-            config.worker_count(),
-        )
-        rows.append(accuracy_row(f"{cid}@{quality}", quality,
-                                 _mean(r.bpss for r in results),
-                                 [r.recon for r in results]))
+    def rate_and_features(item):
+        result = runner.run_trace(*item, keep_recon=True)
+        return result.bpss, featurize(result.recon, config.feature_height)
+
+    rows = [accuracy_row("raw", None, 8.0, [featurize(trace_to_image(t), config.feature_height)
+                                            for t in corpus])]
+    qualities = sorted(config.downstream_qualities)
+    items = [(trace, cid, quality) for quality in qualities for trace in corpus]
+    results = _parallel_results(items, rate_and_features, config.worker_count())
+    for i, quality in enumerate(qualities):
+        coded = results[i * len(corpus):(i + 1) * len(corpus)]
+        rows.append(accuracy_row(f"{cid}@{quality}", quality, _mean(r for r, _ in coded),
+                                 [f for _, f in coded]))
 
     rows.sort(key=lambda r: -r["bpss"])  # raw (8.0) first, then descending rate
     return BenchReport(header=_report_header(config), accuracy_rows=rows)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _files, bench
-from .adapters import CodecKind, load_codec_specs, probe
+from .adapters import CodecKind, ProbeResult, ProbeStatus, load_codec_specs, probe
 from .analysis import adjusted_rand_index, featurize, kmeans, tsne_2d
 from .codec import (
     decode,
@@ -72,6 +72,16 @@ def _load_image(path: Path):
     return read_ppm(path)
 
 
+def _save_image(image, path: Path, args):
+    """Write ``image`` as PPM, or as an MPTD trace labelled by ``args``."""
+    if path.suffix == ".mptd":
+        save_trace(image_to_trace(image, default_layout(), sample_rate_hz=args.rate,
+                                  object_label=args.object, pose_label=_pose_of(args.pose),
+                                  repetition_id=args.rep), path)
+    else:
+        write_ppm(image, path)
+
+
 def _cmd_simulate(args):
     items = (("dataset.objects", args.objects), ("dataset.poses", args.poses),
              ("dataset.plan_s", args.plan))
@@ -92,29 +102,16 @@ def _cmd_simulate(args):
 
 def _cmd_convert(args):
     src, dst = Path(args.input), Path(args.output)
-    if src.suffix == ".mptd" and dst.suffix == ".ppm":
-        trace = load_trace(src)
-        write_ppm(trace_to_image(trace), dst)
-    elif src.suffix == ".ppm" and dst.suffix == ".mptd":
-        image = read_ppm(src)
-        trace = image_to_trace(
-            image,
-            default_layout(),
-            sample_rate_hz=args.rate,
-            object_label=args.object,
-            pose_label=_pose_of(args.pose),
-            repetition_id=args.rep,
-        )
-        save_trace(trace, dst)
-    else:
+    if {src.suffix, dst.suffix} != {".mptd", ".ppm"}:
         raise FormatError("convert maps .mptd -> .ppm or .ppm -> .mptd")
+    _save_image(_load_image(src), dst, args)
     print(dst)
     return EXIT_OK
 
 
 def _cmd_compress(args):
     image = _load_image(Path(args.input))
-    blob = encode_lossy(image, args.qp) if args.qp else encode_lossless(image)
+    blob = encode_lossless(image) if args.qp is None else encode_lossy(image, args.qp)
     size = write_blob(blob, Path(args.output))
     rate = bpss(blob.payload_bits, image.sample_count)
     print(
@@ -125,21 +122,8 @@ def _cmd_compress(args):
 
 
 def _cmd_decompress(args):
-    blob = read_blob(Path(args.input))
-    image = decode(blob)
     dst = Path(args.output)
-    if dst.suffix == ".mptd":
-        trace = image_to_trace(
-            image,
-            default_layout(),
-            sample_rate_hz=args.rate,
-            object_label=args.object,
-            pose_label=_pose_of(args.pose),
-            repetition_id=args.rep,
-        )
-        save_trace(trace, dst)
-    else:
-        write_ppm(image, dst)
+    _save_image(decode(read_blob(Path(args.input))), dst, args)
     print(dst)
     return EXIT_OK
 
@@ -197,17 +181,17 @@ def _cmd_bdrate(args):
 
 
 def _cmd_probe_codecs(args):
-    specs = load_codec_specs(args.specs)
-    wanted = set(args.codecs.split(",")) if args.codecs else None
+    specs = {s.codec_id: s for s in load_codec_specs(args.specs)}
+    wanted = args.codecs.split(",") if args.codecs else [*bench.TLC1_CODECS, *specs]
+    unknown = [cid for cid in wanted if cid not in bench.TLC1_CODECS and cid not in specs]
+    if unknown:
+        raise FormatError(f"codecs {unknown} are neither built in nor in the codec spec file")
     print(f"{'codec':14s} {'kind':9s} {'status':12s} detail")
-    for spec in specs:
-        if wanted and spec.codec_id not in wanted:
-            continue
-        result = probe(spec)
-        print(
-            f"{spec.codec_id:14s} {spec.kind.value:9s} "
-            f"{result.status.value:12s} {result.detail}"
-        )
+    for cid in dict.fromkeys(wanted):
+        entry = bench.TLC1_CODECS.get(cid)
+        kind = entry.kind if entry else specs[cid].kind
+        result = ProbeResult(cid, ProbeStatus.AVAILABLE) if entry else probe(specs[cid])
+        print(f"{cid:14s} {kind.value:9s} {result.status.value:12s} {result.detail}")
     return EXIT_OK
 
 
@@ -275,6 +259,12 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", default=None, help="benchmark config file")
     parser.add_argument("--out", default=None, help="output directory or file")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the labels an image needs to become an MPTD trace
+    labels = argparse.ArgumentParser(add_help=False)
+    labels.add_argument("--object", default="")
+    labels.add_argument("--pose", default="pinch")
+    labels.add_argument("--rep", type=int, default=0)
+    labels.add_argument("--rate", type=float, default=100.0)
 
     p = sub.add_parser("simulate", help="write synthetic .mptd traces")
     p.add_argument("--objects", default="all")
@@ -284,13 +274,9 @@ def build_parser() -> _Parser:
     p.add_argument("--plan", default=None, help="pre,ramp,lift,hold,decay seconds")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("convert", help="convert .mptd <-> .ppm")
+    p = sub.add_parser("convert", help="convert .mptd <-> .ppm", parents=[labels])
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--object", default="")
-    p.add_argument("--pose", default="pinch")
-    p.add_argument("--rep", type=int, default=0)
-    p.add_argument("--rate", type=float, default=100.0)
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("compress", help="compress an image/trace to a .tlc1 blob")
@@ -299,13 +285,9 @@ def build_parser() -> _Parser:
     p.add_argument("--qp", type=int, default=None, help="lossy quantization step (1..64)")
     p.set_defaults(func=_cmd_compress)
 
-    p = sub.add_parser("decompress", help="decode a .tlc1 blob")
+    p = sub.add_parser("decompress", help="decode a .tlc1 blob", parents=[labels])
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--object", default="")
-    p.add_argument("--pose", default="pinch")
-    p.add_argument("--rep", type=int, default=0)
-    p.add_argument("--rate", type=float, default=100.0)
     p.set_defaults(func=_cmd_decompress)
 
     p = sub.add_parser("metrics", help="PSNR / MS-SSIM between two images")

@@ -26,8 +26,6 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _files, rangecoder
 from .errors import CodecIntegrityError, FormatError
 from .imaging import TactileImage

@@ -12,6 +12,7 @@ writes to a path (replaced atomically) or a binary stream; ``read_ppm``
 reads bytes, a path or a binary stream.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,24 +123,19 @@ def write_ppm(image: TactileImage, sink) -> int:
     return _files.write(sink, ppm_bytes(image))
 
 
+# bytes-mode \s matches exactly the bytes that bytes.isspace accepts
+_PPM_GAP = re.compile(rb"(?:\s+|#[^\n]*\n)*")  # whitespace and comment lines
+_PPM_TOKEN = re.compile(rb"\S+")
+
+
 def _ppm_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # skip whitespace and comment lines between header tokens
-    while pos < len(data):
-        if data[pos : pos + 1].isspace():
-            pos += 1
-        elif data[pos : pos + 1] == b"#":
-            nl = data.find(b"\n", pos)
-            if nl < 0:
-                raise FormatError("unterminated comment in PPM header")
-            pos = nl + 1
-        else:
-            break
-    start = pos
-    while pos < len(data) and not data[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
+    pos = _PPM_GAP.match(data, pos).end()
+    if data.startswith(b"#", pos):
+        raise FormatError("unterminated comment in PPM header")
+    token = _PPM_TOKEN.match(data, pos)
+    if token is None:
         raise FormatError("malformed PPM header: missing token")
-    return data[start:pos], pos
+    return token.group(), token.end()
 
 
 def read_ppm(source) -> TactileImage:

@@ -16,7 +16,7 @@ from test_golden import DOWNSTREAM, LOSSLESS, LOSSY, REPORT_DIGESTS
 from taccompress import bench, cli, codec
 from taccompress.adapters import CodecKind
 from taccompress.analysis import ClassifierKind
-from taccompress.errors import CodecIntegrityError, FormatError
+from taccompress.errors import CodecIntegrityError, CodecUnavailableError, FormatError
 from taccompress.imaging import TactileImage, tile_ranges, trace_to_image
 from taccompress.layout import GraspPose
 from taccompress.metrics import MSSSIM_WINDOW, ms_ssim
@@ -400,6 +400,60 @@ def test_unknown_codec_rejected_before_the_corpus_is_built(suite, field, monkeyp
     config = dataclasses.replace(LOSSLESS, **{field: value})
     with pytest.raises(FormatError, match="codec 'no-such' not found"):
         suite(config)
+
+
+@pytest.mark.parametrize("suite, codecs, kind", [
+    (bench.run_lossless_suite, ("tlc1-lossy", "hm-scc"), "lossless"),
+    (bench.run_lossy_suite, ("tlc1", "gzip"), "lossy"),
+], ids=["lossless", "lossy"])
+def test_request_with_no_codec_of_the_suite_kind_rejected_before_probing(suite, codecs, kind,
+                                                                         monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise AssertionError("a codec was probed or the corpus was built")
+
+    monkeypatch.setattr(bench, "build_corpus", fail)
+    monkeypatch.setattr(bench, "probe", fail)
+    config = dataclasses.replace(LOSSLESS, codecs=codecs)
+    with pytest.raises(FormatError, match=f"no {kind} codec among {', '.join(codecs)}"):
+        suite(config)
+
+
+@pytest.mark.parametrize("suite, spec", [
+    (bench.run_lossless_suite, "[ghost]\nkind = lossless\nio_format = raw\n"
+     "encode = no-such-tool-xyz {input} > {output}\n"
+     "decode = no-such-tool-xyz -d {input} > {output}\n"),
+    (bench.run_lossy_suite, "[ghost]\nkind = lossy\nio_format = ppm\nquality_ladder = 10, 20\n"
+     "encode = no-such-tool-xyz {quality} {input} {output}\n"
+     "decode = no-such-tool-xyz -d {input} {output}\n"),
+], ids=["lossless", "lossy"])
+def test_suite_whose_every_codec_failed_its_probe_raises_unavailable(suite, spec, tmp_path,
+                                                                    monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise AssertionError("the corpus was built for a run with no available codec")
+
+    monkeypatch.setattr(bench, "build_corpus", fail)
+    spec_file = tmp_path / "codecs.spec"
+    spec_file.write_text(spec)
+    config = dataclasses.replace(LOSSLESS, codecs=("ghost",), codec_specs_path=str(spec_file))
+    with pytest.raises(CodecUnavailableError, match="ghost .*no-such-tool-xyz"):
+        suite(config)
+
+
+def test_downstream_codes_every_quality_in_one_pool_call(monkeypatch):
+    calls = []
+
+    def counted(items, worker, jobs):
+        results = parallel(items, worker, jobs)
+        calls.append((len(items), any(isinstance(r, bench.TraceResult) for r in results)))
+        return results
+
+    parallel = bench._parallel_results
+    monkeypatch.setattr(bench, "_parallel_results", counted)
+    report = bench.run_downstream_suite(DOWNSTREAM)
+    traces = len(DOWNSTREAM.objects) * len(DOWNSTREAM.poses) * DOWNSTREAM.reps
+    # one call for both qualities, returning rates and features, not reconstructions
+    assert calls == [(2 * traces, False)]
+    assert len(report.accuracy_rows) == 3
 
 
 class TestWorkerPool:

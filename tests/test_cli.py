@@ -70,6 +70,16 @@ def test_simulate_seed_defaults_to_the_bench_seed(tmp_path):
     assert runs["default"] == runs["seed0"]
 
 
+def test_compress_qp_0_exits_2_and_writes_no_blob(tmp_path, capsys):
+    assert cli.main(["--out", str(tmp_path), "simulate", "--objects", "egg", "--poses",
+                     "pinch", "--plan", TWO_FRAMES.replace(" ", "")]) == 0
+    blob = tmp_path / "egg.tlc1"
+    assert cli.main(["compress", str(tmp_path / "egg_pinch_0.mptd"), str(blob),
+                     "--qp", "0"]) == 2
+    assert "qp must be in [1, 64], got 0" in capsys.readouterr().err
+    assert not blob.exists()
+
+
 @pytest.mark.parametrize("plan, reps", [
     ("0.01,0.02", "1"),
     ("0.01,0.01,0.01,0.01,0.01,0.01", "1"),
@@ -129,6 +139,30 @@ def test_cluster_exits_0_and_writes_the_embedding(tmp_path):
 def test_probe_codecs_exits_0_and_lists_gzip(capsys):
     assert cli.main(["probe-codecs"]) == 0
     assert any(line.split()[0] == "gzip" for line in capsys.readouterr().out.splitlines())
+
+
+def test_probe_codecs_lists_the_built_in_codecs(capsys):
+    assert cli.main(["probe-codecs", "--codecs", "tlc1-lossy,tlc1"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [["tlc1-lossy", "lossy", "available"], ["tlc1", "lossless", "available"]]
+
+
+def test_probe_codecs_with_an_unknown_id_exits_2(capsys):
+    assert cli.main(["probe-codecs", "--codecs", "tlc1,nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert "nosuch" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, codecs, kind", [
+    ("bench-lossy", "tlc1", "lossy"),
+    ("bench-lossless", "tlc1-lossy", "lossless"),
+], ids=["lossy", "lossless"])
+def test_bench_suite_with_no_codec_of_its_kind_exits_2(tmp_path, capsys, command, codecs, kind):
+    config = write_config(tmp_path, f"[run]\ncodecs = {codecs}\n")
+    assert cli.main(["--config", config, command]) == 2
+    assert f"data error: no {kind} codec among {codecs}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, run", [
