@@ -25,6 +25,10 @@ Spec files are INI-style, one section per codec::
     encode = cwebp -z 9 -lossless {input} -o {output}
     decode = dwebp {input} -ppm -o {output}
 
+A section takes only the keys in ``SPEC_KEYS``.  An unknown key, or a
+section named after a built-in codec (``tlc1``, ``tlc1-lossy``), raises
+``FormatError``.
+
 ``TACCOMPRESS_CODEC_PATH`` prepends executable search paths.
 """
 
@@ -42,13 +46,14 @@ from pathlib import Path
 import numpy as np
 
 from . import _files
-from .codec import CompressedBlob
+from .codec import CODEC_ID_LOSSLESS, CODEC_ID_LOSSY, CompressedBlob
 from .errors import CodecIntegrityError, CodecRunError, FormatError
 from .imaging import TactileImage, read_ppm, write_ppm
 
 DEFAULT_TIMEOUT_S = 300.0
 PROBE_TIMEOUT_S = 30.0
 CODEC_PATH_ENV = "TACCOMPRESS_CODEC_PATH"
+SPEC_KEYS = ("kind", "io_format", "quality_ladder", "encode", "decode")
 
 
 class CodecKind(Enum):
@@ -264,7 +269,12 @@ def parse_codec_specs(text: str) -> list[CodecSpec]:
         raise FormatError(f"bad codec spec file: {exc}") from exc
     specs = []
     for section in parser.sections():
+        if section in (CODEC_ID_LOSSLESS, CODEC_ID_LOSSY):
+            raise FormatError(f"[{section}]: codec id {section!r} is built in")
         entries = parser[section]
+        for key in entries:
+            if key not in SPEC_KEYS:
+                raise FormatError(f"[{section}]: unknown key {key!r}")
         try:
             kind = CodecKind(entries.get("kind", "lossless").strip().lower())
         except ValueError:

@@ -39,8 +39,10 @@ class RDPoint:
     ms_ssim: float
 
     def __post_init__(self):
-        if self.bpss <= 0:
-            raise ValueError("bpss must be positive")
+        if not 0 < self.bpss < math.inf:
+            raise ValueError("bpss must be finite and positive")
+        if math.isnan(self.psnr_db):  # +inf PSNR marks a lossless point
+            raise ValueError("psnr_db must not be NaN")
         if not 0 <= self.ms_ssim <= 1:
             raise ValueError("ms_ssim must be in [0, 1]")
 

@@ -37,19 +37,15 @@ reconstruction from the prediction towards the source, never past it.  The
 decoder still clamps, so that a hostile payload cannot write a value outside
 a byte.
 
-There is one backend, plain Python, shaped for the interpreter:
-
-* Encoding runs in two passes.  The first finds each sample's context
-  (channel and activity bucket) and tree value.  In lossless mode the
-  reconstruction is the source, so numpy computes prediction, bucket and
-  residual for a whole row at once; lossy mode runs its DPCM loop in Python.
-  The second pass is the binary coder alone, over one row of
-  ``context << levels | value`` keys at a time.
-* The per-sample loops run over Python ints from ``.tolist()``, with one
-  probability list per context, each value's (node, bit) path and each
-  probability update from tables, and output in a ``bytearray``.  The MED
-  predictor is written out in the lossy pass and in the decoder, which keep
-  the previous and current row of the reconstruction as lists.
+One function, ``_code``, walks the image for both directions and both
+modes, in plain Python shaped for the interpreter.  It keeps the previous and
+current row of the reconstruction as lists of ints and computes the MED
+prediction and activity once per sample; a per-sample table maps the
+activity straight to the context's probability list.  Then it either encodes
+(one table maps the residual to its dequantized value and the coded value's
+(node, bit) path, which is range-coded at once) or decodes (the context tree
+is walked from the code register).  Each probability update comes from a
+table and the output goes to a ``bytearray``.
 """
 
 import math
@@ -103,87 +99,6 @@ _AFTER1 = [_PROBS[p - (p >> ADAPT_SHIFT)] for p in _PROBS]
 del _PROBS
 
 
-def _fresh_contexts(mode):
-    """One probability list per (channel, bucket) context."""
-    size = 1 << _LEVELS[mode]
-    return [[PROB_INIT] * size for _ in range(AXIS_COUNT * N_BUCKETS)]
-
-
-def _lossless_rows(pixels):
-    """Each row's context-and-residual keys, predicted from the source itself
-    (in lossless mode it is the reconstruction)."""
-    base = np.arange(AXIS_COUNT, dtype=np.int16) * N_BUCKETS
-    prev = None
-    for row in pixels.astype(np.int16):
-        pred = np.empty_like(row)
-        bucket = np.zeros_like(row)
-        if prev is None:
-            pred[0] = REST_CODES
-            pred[1:] = row[:-1]
-        else:
-            pred[0] = prev[0]
-            a, b, cc = row[:-1], prev[1:], prev[:-1]
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            pred[1:] = np.where(cc >= hi, lo, np.where(cc <= lo, hi, a + b - cc))
-            act = np.abs(a - cc) + np.abs(b - cc)
-            bucket[1:] = (act > 0).astype(np.int16) + (act >= 5)
-        prev = row
-        yield (((base + bucket) << 8) | ((row - pred) & 0xFF)).ravel().tolist()
-
-
-def _lossy_rows(pixels, qp, recon):
-    """DPCM pass of lossy mode: each row's keys; writes the reconstruction
-    row by row into the bytearray ``recon``."""
-    height, width, channels = pixels.shape
-    rowlen = width * channels
-    levels = _LEVELS[MODE_LOSSY]
-    channel_ctx = [c * N_BUCKETS for c in range(channels)] * width
-    # residual r (index r, negative r wraps) -> (dequantized residual, zigzag index)
-    quant = [None] * 512
-    for r in range(-255, 256):
-        q = r // qp if r >= 0 else -((-r) // qp)
-        quant[r] = (q * qp, 2 * q if q >= 0 else -2 * q - 1)
-    bucket_of = _BUCKET
-    prev, first = None, True
-    for t in range(height):
-        xs = pixels[t].ravel().tolist()
-        # cur[j] is the left neighbour of sample j; its first three entries
-        # stand in for column 0, which predicts from above (or the rest code).
-        cur = [0] * (rowlen + channels)
-        if first:
-            cur[:channels] = REST_CODES
-        else:
-            # column 0 predicts from above: its left and up-left read the up sample
-            cur[:channels] = prev[:channels] = prev[channels:2 * channels]
-        keys = [0] * rowlen
-        for j in range(rowlen):
-            a = cur[j]
-            if first:
-                b = cc = a
-            else:
-                b = prev[j + channels]
-                cc = prev[j]
-            if cc >= a:
-                if cc >= b:
-                    pred = a if a < b else b
-                    act = cc + cc - a - b
-                else:
-                    pred = a + b - cc
-                    act = b - a
-            elif cc <= b:
-                pred = a if a > b else b
-                act = a + b - cc - cc
-            else:
-                pred = a + b - cc
-                act = a - b
-            dq, value = quant[xs[j] - pred]
-            cur[j + channels] = pred + dq
-            keys[j] = ((channel_ctx[j] + bucket_of[act]) << levels) | value
-        recon[t * rowlen:(t + 1) * rowlen] = cur[channels:]
-        prev, first = cur, False
-        yield keys
-
-
 def _shift_low(low, cache, cache_size, out):
     """Shift the top byte out of ``low``, emitting the cached byte and any
     pending 0xFF run once a carry can no longer reach them; returns the new
@@ -196,76 +111,57 @@ def _shift_low(low, cache, cache_size, out):
     return (low & 0xFFFFFF) << 8, cache, cache_size + 1
 
 
-def _encode_rows(rows, mode):
-    """Binary range coder over rows of keys ``context << levels | value``."""
-    contexts = _fresh_contexts(mode)
-    table = [(probs, path) for probs in contexts for path in _PATHS[mode]]
+def _code(mode, qp, shape, pixels=None, payload=None):
+    """The one coding walk.  Given ``pixels`` it encodes them and returns
+    (payload, reconstruction); given ``payload`` it decodes it and returns
+    the reconstruction.  Both directions predict from the reconstruction
+    built so far, so the decoder sees what the encoder saw."""
+    height, width, channels = shape
+    rowlen = width * channels
+    size = 1 << _LEVELS[mode]
+    lossless = mode == MODE_LOSSLESS
+    # one probability list per (channel, bucket) context
+    contexts = [[PROB_INIT] * size for _ in range(AXIS_COUNT * N_BUCKETS)]
+    # each sample's context probability list by activity, through its bucket
+    sample_contexts = [[contexts[c * N_BUCKETS + bucket] for bucket in _BUCKET]
+                       for c in range(channels)] * width
     after0, after1 = _AFTER0, _AFTER1
     top = RC_TOP
-    out = bytearray()
-    low = 0
     rng = MASK32
-    cache = 0
-    cache_size = 1
-    for row in rows:
-        for key in row:
-            probs, path = table[key]
-            for node, bit in path:
-                p = probs[node]
-                bound = (rng >> PROB_BITS) * p
-                if bit:
-                    low += bound
-                    rng -= bound
-                    probs[node] = after1[p]
-                else:
-                    rng = bound
-                    probs[node] = after0[p]
-                while rng < top:
-                    low, cache, cache_size = _shift_low(low, cache, cache_size, out)
-                    rng <<= 8
-    # flush: five shifts push the remaining 32 bits of low (plus cache) out
-    for _ in range(5):
-        low, cache, cache_size = _shift_low(low, cache, cache_size, out)
-    return bytes(out)
-
-
-def encode_image(pixels: np.ndarray, mode: int, qp: int) -> tuple[bytes, np.ndarray]:
-    """Range-code one image; returns (payload, reconstruction)."""
-    pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
-    if mode == MODE_LOSSLESS:
-        return _encode_rows(_lossless_rows(pixels), mode), pixels.copy()
-    recon = bytearray(pixels.size)
-    payload = _encode_rows(_lossy_rows(pixels, qp, recon), mode)
-    return payload, np.frombuffer(recon, dtype=np.uint8).reshape(pixels.shape)
-
-
-def decode_image(payload: bytes, height: int, width: int, channels: int,
-                 mode: int, qp: int) -> np.ndarray:
-    levels = _LEVELS[mode]
-    size = 1 << levels
-    lossless = mode == MODE_LOSSLESS
-    # zigzag index -> dequantized residual
-    dequant = [(v // 2 if v % 2 == 0 else -(v + 1) // 2) * qp for v in range(size)]
-    contexts = _fresh_contexts(mode)
-    rowlen = width * channels
-    # each sample's three context probability lists, one per activity bucket
-    sample_contexts = [contexts[c * N_BUCKETS:(c + 1) * N_BUCKETS]
-                       for c in range(channels)] * width
-    bucket_of, after0, after1 = _BUCKET, _AFTER0, _AFTER1
-    top = RC_TOP
-    n = len(payload)
-
-    rng = MASK32
-    code = 0
-    pos = 0
-    for _ in range(5):  # first byte is the encoder's initial zero cache
-        code = ((code << 8) | (payload[pos] if pos < n else 0)) & 0xFFFFFFFFFF
-        pos += 1
-    code &= MASK32
+    encoding = payload is None
+    if encoding:
+        paths = _PATHS[mode]
+        # residual r (index r, negative r wraps) -> (dequantized residual,
+        # tree path of the coded value: r mod 256, or the zigzag index)
+        quant = [None] * 511
+        for r in range(-255, 256):
+            if lossless:
+                quant[r] = (r, paths[r & 0xFF])
+            else:
+                q = r // qp if r >= 0 else -((-r) // qp)
+                quant[r] = (q * qp, paths[2 * q if q >= 0 else -2 * q - 1])
+        out = bytearray()
+        low = 0
+        cache = 0
+        cache_size = 1
+    else:
+        # zigzag index -> dequantized residual
+        dequant = [(v // 2 if v % 2 == 0 else -(v + 1) // 2) * qp for v in range(size)]
+        n = len(payload)
+        code = 0
+        pos = 0
+        for _ in range(5):  # first byte is the encoder's initial zero cache
+            code = ((code << 8) | (payload[pos] if pos < n else 0)) & 0xFFFFFFFFFF
+            pos += 1
+        code &= MASK32
 
     recon = bytearray(height * rowlen)
     prev, first = None, True
     for t in range(height):
+        if encoding:
+            xs = pixels[t].ravel().tolist()
+        # cur[j] is the left neighbour of sample j; its first entries stand
+        # in for column 0, which predicts from above (or the rest code).
         cur = [0] * (rowlen + channels)
         if first:
             cur[:channels] = REST_CODES
@@ -292,29 +188,64 @@ def decode_image(payload: bytes, height: int, width: int, channels: int,
             else:
                 pred = a + b - cc
                 act = a - b
-            probs = sample_contexts[j][bucket_of[act]]
-            node = 1
-            while node < size:
-                p = probs[node]
-                bound = (rng >> PROB_BITS) * p
-                if code < bound:
-                    rng = bound
-                    probs[node] = after0[p]
-                    node += node
-                else:
-                    code -= bound
-                    rng -= bound
-                    probs[node] = after1[p]
-                    node += node + 1
-                while rng < top:
-                    code = ((code << 8) | (payload[pos] if pos < n else 0)) & MASK32
-                    rng <<= 8
-                    pos += 1
-            if lossless:
-                cur[j + channels] = (pred + node - size) & 0xFF
+            probs = sample_contexts[j][act]
+            if encoding:
+                dq, path = quant[xs[j] - pred]
+                for node, bit in path:
+                    p = probs[node]
+                    bound = (rng >> PROB_BITS) * p
+                    if bit:
+                        low += bound
+                        rng -= bound
+                        probs[node] = after1[p]
+                    else:
+                        rng = bound
+                        probs[node] = after0[p]
+                    while rng < top:
+                        low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+                        rng <<= 8
+                cur[j + channels] = pred + dq
             else:
-                y = pred + dequant[node - size]
-                cur[j + channels] = 255 if y > 255 else (0 if y < 0 else y)
+                node = 1
+                while node < size:
+                    p = probs[node]
+                    bound = (rng >> PROB_BITS) * p
+                    if code < bound:
+                        rng = bound
+                        probs[node] = after0[p]
+                        node += node
+                    else:
+                        code -= bound
+                        rng -= bound
+                        probs[node] = after1[p]
+                        node += node + 1
+                    while rng < top:
+                        code = ((code << 8) | (payload[pos] if pos < n else 0)) & MASK32
+                        rng <<= 8
+                        pos += 1
+                if lossless:
+                    cur[j + channels] = (pred + node - size) & 0xFF
+                else:
+                    y = pred + dequant[node - size]
+                    cur[j + channels] = 255 if y > 255 else (0 if y < 0 else y)
         recon[t * rowlen:(t + 1) * rowlen] = cur[channels:]
         prev, first = cur, False
-    return np.frombuffer(recon, dtype=np.uint8).reshape(height, width, channels)
+    recon = np.frombuffer(recon, dtype=np.uint8).reshape(shape)
+    if not encoding:
+        return recon
+    # flush: five shifts push the remaining 32 bits of low (plus cache) out
+    for _ in range(5):
+        low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+    return bytes(out), recon
+
+
+def encode_image(pixels: np.ndarray, mode: int, qp: int) -> tuple[bytes, np.ndarray]:
+    """Range-code one image; returns (payload, reconstruction)."""
+    pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
+    return _code(mode, qp, pixels.shape, pixels=pixels)
+
+
+def decode_image(payload: bytes, height: int, width: int, channels: int,
+                 mode: int, qp: int) -> np.ndarray:
+    """Decode a payload of ``height`` x ``width`` x ``channels`` samples."""
+    return _code(mode, qp, (height, width, channels), payload=payload)

@@ -172,6 +172,17 @@ class TestSpecFile:
             parse_codec_specs("[x]\nkind = managed\nencode = a {input} {output}\n"
                               "decode = b {input} {output}\n")
 
+    def test_parse_rejects_an_unknown_key(self):
+        with pytest.raises(FormatError, match=r"\[x\].*io_formt"):
+            parse_codec_specs("[x]\nio_formt = raw\nencode = a {input} {output}\n"
+                              "decode = b {input} {output}\n")
+
+    def test_parse_rejects_a_built_in_codec_id(self):
+        with pytest.raises(FormatError, match=r"\[tlc1\].*built in"):
+            parse_codec_specs("[tlc1]\nkind = lossy\nquality_ladder = 1, 2\n"
+                              "encode = a {quality} {input} {output}\n"
+                              "decode = b {input} {output}\n")
+
     def test_parse_round_trip(self):
         specs = parse_codec_specs(
             "[demo]\nkind = lossy\nio_format = ppm\nquality_ladder = 1, 2, 3, 4\n"

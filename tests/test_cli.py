@@ -129,6 +129,16 @@ def test_malformed_bdrate_csv_exits_2(tmp_path, text):
     assert cli.main(["bdrate", str(good), str(bad)]) == 2
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_non_finite_bdrate_rate_exits_2(tmp_path, rate):
+    rows = "".join(f"{r},{30 + r},0.9{r}\n" for r in range(1, 5))
+    good = tmp_path / "good.csv"
+    good.write_text("bpss,psnr_db,ms_ssim\n" + rows)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("bpss,psnr_db,ms_ssim\n" + rows + f"{rate},40,0.99\n")
+    assert cli.main(["bdrate", str(good), str(bad)]) == 2
+
+
 def test_cluster_exits_0_and_writes_the_embedding(tmp_path):
     config = downstream_config(tmp_path, "tlc1-lossy")
     assert cli.main(["--config", config, "cluster", "--perplexity", "1"]) == 0

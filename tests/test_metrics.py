@@ -233,6 +233,11 @@ class TestBdRate:
         with pytest.raises(ValueError, match="strictly increasing"):
             curve([0.1, 0.1, 0.4, 0.8], [30, 33, 36, 39])
 
+    @pytest.mark.parametrize("bpss, psnr_db", [(math.nan, 30), (math.inf, 30), (0.1, math.nan)])
+    def test_point_requires_a_finite_rate_and_a_psnr(self, bpss, psnr_db):
+        with pytest.raises(ValueError):
+            RDPoint(bpss=bpss, psnr_db=psnr_db, ms_ssim=0.9)
+
 
 class TestFormatting:
     def test_six_significant_digits(self):

@@ -21,9 +21,12 @@ from taccompress.trace import GraspTrace, load_trace, save_trace
 SETTINGS = settings(max_examples=60, deadline=None)
 ONE, SHIFT, TOP, MASK32 = 1 << 15, 5, 1 << 24, 0xFFFFFFFF
 
-images = st.tuples(st.integers(1, 5), st.integers(1, 64)).flatmap(
-    lambda hw: arrays(np.uint8, (*hw, 3))
-)
+shapes = st.tuples(st.integers(1, 5), st.integers(1, 64))
+images = shapes.flatmap(lambda hw: arrays(np.uint8, (*hw, 3)))
+# Uniform pixels put nearly every interior sample in activity bucket 2; a few
+# codes around 0 and 128 reach buckets 0 and 1 and long runs of zero residuals.
+low_entropy_images = shapes.flatmap(lambda hw: arrays(
+    np.uint8, (*hw, 3), elements=st.sampled_from([0, 1, 3, 126, 127, 128, 130])))
 
 
 def parse_bytes_and_stream(parse, data, errors=FormatError):
@@ -39,14 +42,14 @@ def parse_bytes_and_stream(parse, data, errors=FormatError):
 
 
 @SETTINGS
-@given(images)
+@given(images | low_entropy_images)
 def test_lossless_round_trip_is_exact(pixels):
     img = TactileImage(pixels)
     assert codec.decode_lossless(codec.encode_lossless(img)) == img
 
 
 @SETTINGS
-@given(images, st.integers(1, 255))
+@given(images | low_entropy_images, st.integers(1, 255))
 def test_lossy_reencode_of_a_decoded_image_is_idempotent(pixels, qp):
     payload, once = rangecoder.encode_image(pixels, rangecoder.MODE_LOSSY, qp)
     assert np.array_equal(
@@ -228,7 +231,7 @@ modes = st.just((rangecoder.MODE_LOSSLESS, 1)) | st.tuples(
 
 
 @SETTINGS
-@given(images, modes)
+@given(images | low_entropy_images, modes)
 def test_encoder_matches_the_reference_coder(pixels, mode_qp):
     payload, recon = rangecoder.encode_image(pixels, *mode_qp)
     ref_payload, ref_recon = reference_encode(pixels, *mode_qp)
