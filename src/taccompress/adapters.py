@@ -25,8 +25,9 @@ Spec files are INI-style, one section per codec::
     encode = cwebp -z 9 -lossless {input} -o {output}
     decode = dwebp {input} -ppm -o {output}
 
-A section takes only the keys in ``SPEC_KEYS``.  An unknown key, or a
-section named after a built-in codec (``tlc1``, ``tlc1-lossy``), raises
+A section takes only the keys in ``SPEC_KEYS``.  An unknown key, a
+``[DEFAULT]`` section (whose keys would apply to every codec), or a section
+named after a built-in codec (``tlc1``, ``tlc1-lossy``) raises
 ``FormatError``.
 
 ``TACCOMPRESS_CODEC_PATH`` prepends executable search paths.
@@ -262,13 +263,17 @@ def probe(spec: CodecSpec) -> ProbeResult:
 
 def parse_codec_specs(text: str) -> list[CodecSpec]:
     """Parse the INI-style codec spec format; see the module docstring."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: a [DEFAULT] header is a section, rejected below
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise FormatError(f"bad codec spec file: {exc}") from exc
     specs = []
     for section in parser.sections():
+        if section == configparser.DEFAULTSECT:
+            raise FormatError(f"[{section}]: a default section would apply its keys "
+                              "to every codec")
         if section in (CODEC_ID_LOSSLESS, CODEC_ID_LOSSY):
             raise FormatError(f"[{section}]: codec id {section!r} is built in")
         entries = parser[section]

@@ -46,6 +46,36 @@ activity straight to the context's probability list.  Then it either encodes
 (node, bit) path, which is range-coded at once) or decodes (the context tree
 is walked from the code register).  Each probability update comes from a
 table and the output goes to a ``bytearray``.
+
+Most samples of a tactile image at rest code the value 0, and the walk
+codes those in saturated contexts without the per-bit loop.  The shortcut
+is exact; the bitstream, the reconstruction and the per-bit path do not
+change, so ``MIN_SAMPLE_BITS`` and ``max_sample_count`` still hold:
+
+* ``SAT = 32737`` is the fixed point of coding 0s: ``_AFTER0[SAT] == SAT``,
+  and no update takes a probability in ``0..SAT`` above ``SAT``.  A 0 bit
+  at ``SAT`` leaves ``low`` and ``code`` alone and sets the range to
+  ``(range >> 15) * SAT``, a function of the range alone.  So when every
+  node on the value 0's path (1, 2, 4, ..., ``size >> 1``) holds ``SAT``,
+  coding a 0 is that step chained once per level, with no probability
+  written, provided no renormalization falls inside the sample.  The
+  chained values fall at every step (``SAT < 32768``), so a final value
+  ``r >= RC_TOP`` means every intermediate one was too: none fell inside.
+* The decoder reads a 0 at a node when ``code`` is below the split point.
+  Each split point of the chain is at least the final ``r`` and ``code``
+  does not change on a 0, so ``code < r`` means a 0 at every node, whatever
+  the payload.  Otherwise (``code >= r`` or ``r < RC_TOP``) the per-bit walk
+  runs from the untouched state, and handles a renormalization inside the
+  sample as always.
+* Slot 0 of a context's probability list, which no node uses, holds 0 when
+  every zero-path node is at ``SAT`` and otherwise a zero-path node to
+  watch.  A nonzero value's first 1 bit falls on a zero-path node and pulls
+  it below ``SAT``, so the walk then stores node 1 there.  After a 0 coded by
+  the walk, the zero-path nodes are rescanned only once the watched node
+  is at ``SAT``: the slot becomes the first node still below ``SAT``, or 0
+  when none is, which is exact because no probability exceeds ``SAT``.  A
+  slot holding 0 is never rescanned (the slot's value 0 is not ``SAT``),
+  and a shortcut sample leaves every zero-path node at ``SAT``.
 """
 
 import math
@@ -68,9 +98,10 @@ MODE_LOSSY = 1
 
 N_BUCKETS = 3
 
-# A sample codes at least 8 tree bits, each costing at least
-# log2(32768/32737) (probabilities never leave [31, 32737]).
-MIN_SAMPLE_BITS = 8 * math.log2(PROB_ONE / (PROB_ONE - (1 << ADAPT_SHIFT) + 1))
+# Probabilities never leave [31, SAT]; coding a 0 at SAT leaves it at SAT.
+SAT = PROB_ONE - (1 << ADAPT_SHIFT) + 1
+# A sample codes at least 8 tree bits, each costing at least log2(32768/SAT).
+MIN_SAMPLE_BITS = 8 * math.log2(PROB_ONE / SAT)
 
 
 def max_sample_count(payload_len: int) -> int:
@@ -120,16 +151,23 @@ def _code(mode, qp, shape, pixels=None, payload=None):
     rowlen = width * channels
     size = 1 << _LEVELS[mode]
     lossless = mode == MODE_LOSSLESS
-    # one probability list per (channel, bucket) context
-    contexts = [[PROB_INIT] * size for _ in range(AXIS_COUNT * N_BUCKETS)]
+    # one probability list per (channel, bucket) context; its unused slot 0
+    # holds 0 once every zero-path node is at SAT, else a zero-path node
+    contexts = [[1] + [PROB_INIT] * (size - 1) for _ in range(AXIS_COUNT * N_BUCKETS)]
     # each sample's context probability list by activity, through its bucket
     sample_contexts = [[contexts[c * N_BUCKETS + bucket] for bucket in _BUCKET]
                        for c in range(channels)] * width
     after0, after1 = _AFTER0, _AFTER1
     top = RC_TOP
+    sat = SAT
     rng = MASK32
+    # the value 0's path; the decoder keeps it as ``path`` and the encoder
+    # keeps ``code`` at 0, so one shortcut test serves both directions
+    zero = path = _PATHS[mode][0]
+    zero_nodes = [node for node, _ in zero]  # 1, 2, 4, ..., size >> 1
     encoding = payload is None
     if encoding:
+        code = 0
         paths = _PATHS[mode]
         # residual r (index r, negative r wraps) -> (dequantized residual,
         # tree path of the coded value: r mod 256, or the zigzag index)
@@ -191,6 +229,18 @@ def _code(mode, qp, shape, pixels=None, payload=None):
             probs = sample_contexts[j][act]
             if encoding:
                 dq, path = quant[xs[j] - pred]
+            if path is zero and not probs[0]:
+                # a 0 at every saturated node: the walk's range steps, chained
+                # (15 is PROB_BITS; probabilities, low and code stay as they are)
+                r = ((((((((rng >> 15) * sat >> 15) * sat >> 15) * sat >> 15) * sat
+                     >> 15) * sat >> 15) * sat >> 15) * sat >> 15) * sat
+                if not lossless:
+                    r = (r >> 15) * sat
+                if code < r >= top:  # no renormalization; a decoder reads only 0 bits
+                    rng = r
+                    cur[j + channels] = pred
+                    continue
+            if encoding:
                 for node, bit in path:
                     p = probs[node]
                     bound = (rng >> PROB_BITS) * p
@@ -205,6 +255,7 @@ def _code(mode, qp, shape, pixels=None, payload=None):
                         low, cache, cache_size = _shift_low(low, cache, cache_size, out)
                         rng <<= 8
                 cur[j + channels] = pred + dq
+                coded_zero = path is zero
             else:
                 node = 1
                 while node < size:
@@ -228,6 +279,14 @@ def _code(mode, qp, shape, pixels=None, payload=None):
                 else:
                     y = pred + dequant[node - size]
                     cur[j + channels] = 255 if y > 255 else (0 if y < 0 else y)
+                coded_zero = node == size
+            # a value's first 1 bit pulls a zero-path node below SAT; after a 0,
+            # rescan once the watched node is at SAT (slot 0 holds 0 or a node,
+            # never SAT, so a saturated context is not rescanned)
+            if not coded_zero:
+                probs[0] = 1
+            elif probs[probs[0]] == sat:
+                probs[0] = next((z for z in zero_nodes if probs[z] != sat), 0)
         recon[t * rowlen:(t + 1) * rowlen] = cur[channels:]
         prev, first = cur, False
     recon = np.frombuffer(recon, dtype=np.uint8).reshape(shape)

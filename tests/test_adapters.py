@@ -183,6 +183,12 @@ class TestSpecFile:
                               "encode = a {quality} {input} {output}\n"
                               "decode = b {input} {output}\n")
 
+    def test_parse_rejects_a_default_section(self):
+        with pytest.raises(FormatError, match=r"\[DEFAULT\]"):
+            parse_codec_specs("[DEFAULT]\nkind = lossy\nquality_ladder = 1\n"
+                              "[gzip]\nencode = a {input} {output}\n"
+                              "decode = b {input} {output}\n")
+
     def test_parse_round_trip(self):
         specs = parse_codec_specs(
             "[demo]\nkind = lossy\nio_format = ppm\nquality_ladder = 1, 2, 3, 4\n"

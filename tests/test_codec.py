@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from taccompress import codec
+from taccompress import codec, rangecoder
 from taccompress.errors import CodecIntegrityError, FormatError
 from taccompress.imaging import TactileImage, trace_to_image
 from taccompress.layout import GraspPose
@@ -223,3 +223,23 @@ class TestBlobContainer:
         sink = io.BytesIO()
         codec.write_blob(codec.encode_lossless(img), sink)
         assert codec.decode_lossless(codec.read_blob(sink.getvalue())) == img
+
+
+class TestSaturation:
+    """The adaptation facts the zero-symbol shortcut in ``rangecoder`` rests on."""
+
+    def test_coding_a_0_at_sat_keeps_sat(self):
+        assert rangecoder._AFTER0[rangecoder.SAT] == rangecoder.SAT
+
+    def test_no_update_takes_a_probability_above_sat(self):
+        sat = rangecoder.SAT
+        for table in (rangecoder._AFTER0, rangecoder._AFTER1):
+            assert max(table[:sat + 1]) <= sat
+        assert rangecoder.PROB_INIT <= sat
+
+    def test_repeated_zeros_from_the_initial_probability_reach_sat(self):
+        p, steps = rangecoder.PROB_INIT, 0
+        while p != rangecoder.SAT and steps < 1000:
+            p, steps = rangecoder._AFTER0[p], steps + 1
+        assert p == rangecoder.SAT
+        assert steps == 215

@@ -230,8 +230,28 @@ modes = st.just((rangecoder.MODE_LOSSLESS, 1)) | st.tuples(
     st.just(rangecoder.MODE_LOSSY), st.integers(1, 255))
 
 
+def _flat_image(height, width, codes, edits):
+    """A ``height`` x ``width`` image of one code per channel with ``edits``
+    (row, column, channel, code) written over it, positions taken modulo."""
+    pixels = np.empty((height, width, 3), np.uint8)
+    pixels[:] = codes
+    for t, u, c, code in edits:
+        pixels[t % height, u % width, c % 3] = code
+    return pixels
+
+
+# Wide, mostly flat images code hundreds of zero residuals per context, so
+# contexts saturate (215 zero codings from PROB_INIT) and most samples take
+# the zero-symbol shortcut; a long zero run renormalizes inside a sample
+# every ~730 samples, and each edit pulls a saturated context back out.
+wide_flat_images = st.builds(
+    _flat_image, st.integers(2, 3), st.integers(400, 600),
+    st.tuples(*[st.integers(0, 255)] * 3),
+    st.lists(st.tuples(*[st.integers(0, 1 << 16)] * 3, st.integers(0, 255)), max_size=8))
+
+
 @SETTINGS
-@given(images | low_entropy_images, modes)
+@given(images | low_entropy_images | wide_flat_images, modes)
 def test_encoder_matches_the_reference_coder(pixels, mode_qp):
     payload, recon = rangecoder.encode_image(pixels, *mode_qp)
     ref_payload, ref_recon = reference_encode(pixels, *mode_qp)
@@ -242,6 +262,23 @@ def test_encoder_matches_the_reference_coder(pixels, mode_qp):
 @SETTINGS
 @given(st.binary(min_size=1, max_size=64), st.integers(1, 4), st.integers(1, 16), modes)
 def test_decoder_matches_the_reference_coder_on_any_payload(payload, height, width, mode_qp):
+    assert np.array_equal(
+        rangecoder.decode_image(payload, height, width, 3, *mode_qp),
+        reference_decode(payload, height, width, *mode_qp))
+
+
+# Payloads that reach saturated contexts: a run of zero bytes decodes as
+# zero values until the contexts saturate, and the drawn bytes after it then
+# meet them with any code; a reference encoding of a wide flat image, with a
+# few bytes overwritten and its tail cut, also codes nonzero values in them.
+@SETTINGS
+@given(wide_flat_images, modes, st.data())
+def test_decoder_matches_the_reference_coder_on_saturated_contexts(pixels, mode_qp, data):
+    payload = data.draw(st.one_of(
+        st.builds(lambda zeros, tail: b"\0" * zeros + tail,
+                  st.integers(0, 200), st.binary(min_size=1, max_size=64)),
+        _mutated(reference_encode(pixels, *mode_qp)[0])))
+    height, width, _ = pixels.shape
     assert np.array_equal(
         rangecoder.decode_image(payload, height, width, 3, *mode_qp),
         reference_decode(payload, height, width, *mode_qp))
