@@ -25,10 +25,14 @@ Spec files are INI-style, one section per codec::
     encode = cwebp -z 9 -lossless {input} -o {output}
     decode = dwebp {input} -ppm -o {output}
 
-A section takes only the keys in ``SPEC_KEYS``.  An unknown key, a
-``[DEFAULT]`` section (whose keys would apply to every codec), or a section
-named after a built-in codec (``tlc1``, ``tlc1-lossy``) raises
-``FormatError``.
+A section takes only the keys in ``SPEC_KEYS``.  Each section must pass
+``CodecSpec``'s checks: both templates hold ``{input}`` and ``{output}`` and
+parse as shell words, and a lossy section's encode template holds
+``{quality}`` and it has a quality ladder; no ladder repeats a step.  An
+unknown key, a ``[DEFAULT]`` section (whose keys would apply to every
+codec) or a section that fails those checks raises ``FormatError`` naming
+the section.  (``bench.codec_table`` also rejects a section named after a
+built-in codec.)
 
 ``TACCOMPRESS_CODEC_PATH`` prepends executable search paths.
 """
@@ -47,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _files
-from .codec import CODEC_ID_LOSSLESS, CODEC_ID_LOSSY, CompressedBlob
+from .codec import CompressedBlob
 from .errors import CodecIntegrityError, CodecRunError, FormatError
 from .imaging import TactileImage, read_ppm, write_ppm
 
@@ -66,7 +70,6 @@ class ProbeStatus(Enum):
     AVAILABLE = "available"
     UNAVAILABLE = "unavailable"
     DEGRADED = "degraded"
-    SPEC_INVALID = "spec-invalid"
 
 
 class IOFormat(Enum):
@@ -76,7 +79,8 @@ class IOFormat(Enum):
 
 @dataclass(frozen=True)
 class CodecSpec:
-    """Command templates and quality ladder for one external codec."""
+    """Command templates and quality ladder for one external codec; building
+    one runs the checks in the module docstring and raises ``ValueError``."""
 
     codec_id: str
     kind: CodecKind
@@ -85,23 +89,23 @@ class CodecSpec:
     quality_ladder: tuple[int, ...] = ()
     io_format: IOFormat = IOFormat.PPM
 
-    def validate(self):
+    def __post_init__(self):
         for name, template in (("encode", self.encode_template),
                                ("decode", self.decode_template)):
-            if not template.strip():
-                raise ValueError(f"{self.codec_id}: empty {name} template")
             for placeholder in ("{input}", "{output}"):
                 if placeholder not in template:
-                    raise ValueError(
-                        f"{self.codec_id}: {name} template missing {placeholder}"
-                    )
+                    raise ValueError(f"{name} template missing {placeholder}")
+            try:
+                shlex.split(template)
+            except ValueError as exc:
+                raise ValueError(f"{name} template does not parse: {exc}") from None
         if self.kind is CodecKind.LOSSY:
             if "{quality}" not in self.encode_template:
-                raise ValueError(f"{self.codec_id}: lossy encode template missing {{quality}}")
+                raise ValueError("lossy encode template missing {quality}")
             if not self.quality_ladder:
-                raise ValueError(f"{self.codec_id}: lossy spec needs a quality ladder")
+                raise ValueError("lossy spec needs a quality ladder")
         if len(set(self.quality_ladder)) != len(self.quality_ladder):
-            raise ValueError(f"{self.codec_id}: quality ladder repeats a step")
+            raise ValueError(f"quality ladder {self.quality_ladder} repeats a step")
 
 
 @dataclass(frozen=True)
@@ -119,16 +123,6 @@ def _search_path() -> str:
     prefix = os.environ.get(CODEC_PATH_ENV, "")
     base = os.environ.get("PATH", os.defpath)
     return f"{prefix}{os.pathsep}{base}" if prefix else base
-
-
-def _executable_of(template: str) -> str:
-    try:
-        tokens = shlex.split(template)
-    except ValueError as exc:
-        raise ValueError(f"unparseable command template: {exc}") from exc
-    if not tokens:
-        raise ValueError("empty command template")
-    return tokens[0]
 
 
 def _write_image(image: TactileImage, path: Path, io_format: IOFormat):
@@ -185,7 +179,6 @@ def run_external(
     specs raise :class:`CodecIntegrityError` if the reconstruction is not
     bit-exact.
     """
-    spec.validate()
     if spec.kind is CodecKind.LOSSY and quality is None:
         raise ValueError(f"{spec.codec_id}: lossy codec needs a quality value")
 
@@ -235,16 +228,9 @@ def run_external(
 
 
 def probe(spec: CodecSpec) -> ProbeResult:
-    """Check that a codec spec is well-formed and its tool round-trips a smoke image."""
-    try:
-        spec.validate()
-        encode_exe = _executable_of(spec.encode_template)
-        decode_exe = _executable_of(spec.decode_template)
-    except ValueError as exc:
-        return ProbeResult(spec.codec_id, ProbeStatus.SPEC_INVALID, str(exc))
-
+    """Check that a codec's executables exist and its tool round-trips a smoke image."""
     path = _search_path()
-    for exe in {encode_exe, decode_exe}:
+    for exe in {shlex.split(spec.encode_template)[0], shlex.split(spec.decode_template)[0]}:
         if shutil.which(exe, path=path) is None:
             return ProbeResult(
                 spec.codec_id, ProbeStatus.UNAVAILABLE, f"executable not found: {exe}"
@@ -274,8 +260,6 @@ def parse_codec_specs(text: str) -> list[CodecSpec]:
         if section == configparser.DEFAULTSECT:
             raise FormatError(f"[{section}]: a default section would apply its keys "
                               "to every codec")
-        if section in (CODEC_ID_LOSSLESS, CODEC_ID_LOSSY):
-            raise FormatError(f"[{section}]: codec id {section!r} is built in")
         entries = parser[section]
         for key in entries:
             if key not in SPEC_KEYS:
@@ -297,15 +281,17 @@ def parse_codec_specs(text: str) -> list[CodecSpec]:
                 )
             except ValueError:
                 raise FormatError(f"[{section}]: bad quality ladder") from None
-        spec = CodecSpec(
-            codec_id=section,
-            kind=kind,
-            encode_template=entries.get("encode", ""),
-            decode_template=entries.get("decode", ""),
-            quality_ladder=ladder,
-            io_format=io_format,
-        )
-        specs.append(spec)
+        try:
+            specs.append(CodecSpec(
+                codec_id=section,
+                kind=kind,
+                encode_template=entries.get("encode", ""),
+                decode_template=entries.get("decode", ""),
+                quality_ladder=ladder,
+                io_format=io_format,
+            ))
+        except ValueError as exc:
+            raise FormatError(f"[{section}]: {exc}") from None
     return specs
 
 

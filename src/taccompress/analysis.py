@@ -428,8 +428,8 @@ def tsne_2d(rows: np.ndarray, perplexity: float = 30.0, seed: int = 0,
     n = x.shape[0]
     if n < 4:
         raise ValueError("t-SNE needs at least 4 rows")
-    if perplexity >= n / 3:
-        raise ValueError(f"perplexity {perplexity} too large for {n} rows (needs < n/3)")
+    if not 0 < perplexity < n / 3:
+        raise ValueError(f"perplexity {perplexity} must lie in (0, n/3) for {n} rows")
 
     dists = _pairwise_sq_dists(x, x)
     cond = _perplexity_probabilities(dists, perplexity)

@@ -41,16 +41,20 @@ CSV embeds the fully resolved config and tool versions as
 UTF-8, so identical configs and seeds produce byte-identical reports under
 any locale.
 
-Every suite resolves its codec ids before it takes the corpus.  A suite
-with nothing to run stops there: an unknown codec id, or a request that
-holds no codec of the suite's kind, raises ``FormatError`` (CLI exit 2)
-before any probe runs or any trace exists; a request whose every codec of
-that kind failed its probe raises ``CodecUnavailableError`` (exit 3).  An
-empty corpus raises ``FormatError``.
+``codec_table`` is the one codec table: the built-in TLC1 rows and one row
+per section of the codec spec file, and ``probe_codecs`` the one probe step
+over it, which both the suites and ``taccompress probe-codecs`` use.  Every
+suite resolves its codec ids before it takes the corpus.  A suite with
+nothing to run stops there: a malformed spec file, an unknown codec id, or
+a request that holds no codec of the suite's kind, raises ``FormatError``
+(CLI exit 2) before any probe runs or any trace exists; a request whose
+every codec of that kind failed its probe raises ``CodecUnavailableError``
+(exit 3).  An empty corpus raises ``FormatError``.
 """
 
 import configparser
 import csv
+import functools
 import io
 import itertools
 import math
@@ -63,7 +67,8 @@ import numpy as np
 
 from . import __version__, _files
 from . import codec as native
-from .adapters import CodecKind, CodecSpec, ProbeResult, load_codec_specs, probe, run_external
+from .adapters import (CodecKind, CodecSpec, ProbeResult, ProbeStatus, load_codec_specs, probe,
+                       run_external)
 from .analysis import (
     ClassifierKind,
     FeatureMatrix,
@@ -353,12 +358,14 @@ class TraceResult:
 
 @dataclass(frozen=True)
 class CodecEntry:
-    """One runnable codec: its kind, its default quality ladder and its tile
-    coder ``code(tile, quality) -> (payload bits, reconstruction)``."""
+    """One codec table row: its kind, its default quality ladder and its tile
+    coder ``code(tile, quality) -> (payload bits, reconstruction)``; an
+    external codec's row also holds the spec that its probe runs."""
 
     kind: CodecKind
     ladder: tuple[int, ...]
     code: Callable[[TactileImage, int | None], tuple[int, TactileImage]]
+    spec: CodecSpec | None = None
 
 
 def _tlc1_lossless(tile: TactileImage, _quality):
@@ -374,55 +381,62 @@ def _tlc1_lossy(tile: TactileImage, quality):
     return blob.payload_bits, native.decode_lossy(blob)
 
 
+def _external(spec: CodecSpec, tile: TactileImage, quality):
+    blob, recon = run_external(spec, tile,
+                               quality=quality if spec.kind is CodecKind.LOSSY else None)
+    return blob.payload_bits, recon
+
+
 TLC1_CODECS = {
     native.CODEC_ID_LOSSLESS: CodecEntry(CodecKind.LOSSLESS, (), _tlc1_lossless),
     native.CODEC_ID_LOSSY: CodecEntry(CodecKind.LOSSY, DEFAULT_LADDER, _tlc1_lossy),
 }
 
 
-def _external_entry(spec: CodecSpec) -> CodecEntry:
-    lossy = spec.kind is CodecKind.LOSSY
+def codec_table(specs_path=None) -> dict[str, CodecEntry]:
+    """The built-in ``TLC1_CODECS`` rows, then one row per section of the
+    codec spec file at ``specs_path`` (the bundled one when empty or None).
+    A malformed spec file, or a section named after a built-in codec,
+    raises ``FormatError``."""
+    table = dict(TLC1_CODECS)
+    for spec in load_codec_specs(specs_path or None):
+        if spec.codec_id in table:
+            raise FormatError(f"[{spec.codec_id}]: codec id {spec.codec_id!r} is built in")
+        table[spec.codec_id] = CodecEntry(spec.kind, spec.quality_ladder,
+                                          functools.partial(_external, spec), spec)
+    return table
 
-    def code(tile, quality):
-        blob, recon = run_external(spec, tile, quality=quality if lossy else None)
-        return blob.payload_bits, recon
 
-    return CodecEntry(spec.kind, spec.quality_ladder, code)
+def probe_codecs(table: dict[str, CodecEntry], codec_ids,
+                 want_kind: CodecKind | None = None) -> dict[str, ProbeResult]:
+    """Probe each row of ``table`` that ``codec_ids`` names and that is of
+    ``want_kind`` (any kind when None), once each, in request order.  A
+    built-in row is always available; an external one runs ``probe`` on its
+    spec.  An unknown id, or a request with no id of ``want_kind``, raises
+    ``FormatError`` before any probe runs."""
+    for cid in codec_ids:
+        if cid not in table:
+            raise FormatError(f"codec {cid!r} not found: neither built in "
+                              "nor in the codec spec file")
+    wanted = [cid for cid in dict.fromkeys(codec_ids) if want_kind in (None, table[cid].kind)]
+    if not wanted:
+        raise FormatError(f"no {want_kind.value} codec among {', '.join(codec_ids)}")
+    return {cid: probe(table[cid].spec) if table[cid].spec
+            else ProbeResult(cid, ProbeStatus.AVAILABLE) for cid in wanted}
 
 
 def _resolve_codecs(config: BenchConfig, codec_ids, want_kind: CodecKind | None = None
                     ) -> tuple[dict[str, CodecEntry], list[ProbeResult]]:
-    """Resolve codec ids of ``want_kind`` (any kind when None) to a codec
-    table, in request order; external codecs that fail their probe are
-    returned as skipped instead.
-
-    An unknown id, or a request with no id of ``want_kind``, raises
-    ``FormatError`` before any probe runs; ``CodecUnavailableError`` when
-    every codec of the kind failed its probe."""
-    specs = {s.codec_id: s for s in load_codec_specs(config.codec_specs_path or None)}
-    wanted = []
-    for cid in codec_ids:
-        if cid not in TLC1_CODECS and cid not in specs:
-            raise FormatError(f"codec {cid!r} not found in the codec spec file")
-        kind = TLC1_CODECS[cid].kind if cid in TLC1_CODECS else specs[cid].kind
-        if want_kind in (None, kind) and cid not in wanted:
-            wanted.append(cid)
-    if not wanted:
-        raise FormatError(f"no {want_kind.value} codec among {', '.join(codec_ids)}")
-    table, skipped = {}, []
-    for cid in wanted:
-        if cid in TLC1_CODECS:
-            table[cid] = TLC1_CODECS[cid]
-            continue
-        result = probe(specs[cid])
-        if result.available:
-            table[cid] = _external_entry(specs[cid])
-        else:
-            skipped.append(result)
-    if not table:
+    """The available rows of ``probe_codecs``, in request order, and the
+    results of those that failed their probe; ``CodecUnavailableError``
+    when every one failed."""
+    table = codec_table(config.codec_specs_path)
+    probed = probe_codecs(table, codec_ids, want_kind)
+    skipped = [result for result in probed.values() if not result.available]
+    if len(skipped) == len(probed):
         raise CodecUnavailableError("every requested codec is unavailable: " + "; ".join(
             f"{s.codec_id} ({s.status.value}) {s.detail}" for s in skipped))
-    return table, skipped
+    return {cid: table[cid] for cid, result in probed.items() if result.available}, skipped
 
 
 def _with_rows_above(tile: TactileImage, previous: TactileImage, rows: int) -> TactileImage:

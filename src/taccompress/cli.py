@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _files, bench
-from .adapters import CodecKind, ProbeResult, ProbeStatus, load_codec_specs, probe
+from .adapters import CodecKind
 from .analysis import adjusted_rand_index, featurize, kmeans, tsne_2d
 from .codec import (
     decode,
@@ -131,16 +131,14 @@ def _cmd_decompress(args):
 def _cmd_metrics(args):
     a = _load_image(Path(args.a))
     b = _load_image(Path(args.b))
-    print(f"psnr_db = {format_metric(psnr(a, b))}")
-    print(f"ms_ssim = {format_metric(ms_ssim(a, b))}")
+    # every value is computed before any is printed, so an error prints none
+    values = [("psnr_db", psnr(a, b)), ("ms_ssim", ms_ssim(a, b))]
     if args.bits is not None:
         rate = bpss(args.bits, a.sample_count)
-        print(f"bpss = {format_metric(rate)}")
-        print(f"cr = {format_metric(compression_ratio(rate))}")
-        print(
-            "bandwidth_bits_per_s = "
-            f"{format_metric(bandwidth_bits_per_second(args.rate, a.width, rate))}"
-        )
+        values += [("bpss", rate), ("cr", compression_ratio(rate)),
+                   ("bandwidth_bits_per_s", bandwidth_bits_per_second(args.rate, a.width, rate))]
+    for name, value in values:
+        print(f"{name} = {format_metric(value)}")
     return EXIT_OK
 
 
@@ -181,17 +179,11 @@ def _cmd_bdrate(args):
 
 
 def _cmd_probe_codecs(args):
-    specs = {s.codec_id: s for s in load_codec_specs(args.specs)}
-    wanted = args.codecs.split(",") if args.codecs else [*bench.TLC1_CODECS, *specs]
-    unknown = [cid for cid in wanted if cid not in bench.TLC1_CODECS and cid not in specs]
-    if unknown:
-        raise FormatError(f"codecs {unknown} are neither built in nor in the codec spec file")
+    table = bench.codec_table(args.specs)
+    results = bench.probe_codecs(table, bench._split_list(args.codecs or "") or list(table))
     print(f"{'codec':14s} {'kind':9s} {'status':12s} detail")
-    for cid in dict.fromkeys(wanted):
-        entry = bench.TLC1_CODECS.get(cid)
-        kind = entry.kind if entry else specs[cid].kind
-        result = ProbeResult(cid, ProbeStatus.AVAILABLE) if entry else probe(specs[cid])
-        print(f"{cid:14s} {kind.value:9s} {result.status.value:12s} {result.detail}")
+    for cid, result in results.items():
+        print(f"{cid:14s} {table[cid].kind.value:9s} {result.status.value:12s} {result.detail}")
     return EXIT_OK
 
 
@@ -303,7 +295,7 @@ def build_parser() -> _Parser:
     p.add_argument("--metric", choices=["psnr", "msssim"], default="psnr")
     p.set_defaults(func=_cmd_bdrate)
 
-    p = sub.add_parser("probe-codecs", help="check external codec availability")
+    p = sub.add_parser("probe-codecs", help="check codec availability")
     p.add_argument("--specs", default=None, help="codec spec file (default: bundled)")
     p.add_argument("--codecs", default=None, help="comma-separated codec ids")
     p.set_defaults(func=_cmd_probe_codecs)

@@ -87,6 +87,8 @@ def bandwidth_bits_per_second(
     sample_rate_hz: float, total_units: int, bpss_value: float = 8.0
 ) -> float:
     """Channel rate of a unit stream at the given bits per sub-sample."""
+    if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise ValueError(f"sample rate must be finite and > 0, not {sample_rate_hz}")
     return sample_rate_hz * total_units * AXIS_COUNT * bpss_value
 
 

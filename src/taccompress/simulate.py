@@ -236,8 +236,8 @@ def generate_trace(
     """Synthesize one grasp trace; deterministic for fixed arguments."""
     plan = plan or PhasePlan()
     layout = default_layout()
-    if sample_rate_hz <= 0:
-        raise ValueError("sample_rate_hz must be positive")
+    if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise ValueError(f"sample_rate_hz must be finite and > 0, not {sample_rate_hz}")
     footprint = profile.footprints.get(pose)
     if footprint is None or len(footprint) == 0:
         raise ValueError(f"profile {profile.name} has no footprint for {pose.name}")

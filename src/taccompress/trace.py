@@ -65,8 +65,8 @@ class GraspTrace:
                 f"frame width {frames.shape[1]} != layout total units "
                 f"{self.layout.total_units}"
             )
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ValueError(f"sample_rate_hz must be finite and > 0, not {self.sample_rate_hz}")
         if self.repetition_id < 0:
             raise ValueError("repetition_id must be non-negative")
         frames.setflags(write=False)

@@ -51,16 +51,14 @@ def script_codec(tmp_path, name, encode_body, decode_body, io_format=IOFormat.RA
 
 
 class TestSpecValidation:
-    def test_template_missing_placeholder_is_spec_invalid(self):
-        spec = CodecSpec(
-            codec_id="broken",
-            kind=CodecKind.LOSSLESS,
-            encode_template="gzip -c {output}",
-            decode_template="gzip -dc {input} > {output}",
-        )
-        result = probe(spec)
-        assert result.status is ProbeStatus.SPEC_INVALID
-        assert "{input}" in result.detail
+    def test_template_missing_placeholder_is_rejected(self):
+        with pytest.raises(ValueError, match=r"encode template missing \{input\}"):
+            CodecSpec(
+                codec_id="broken",
+                kind=CodecKind.LOSSLESS,
+                encode_template="gzip -c {output}",
+                decode_template="gzip -dc {input} > {output}",
+            )
 
     def test_lossy_spec_requires_ladder_and_quality_placeholder(self):
         with pytest.raises(ValueError, match="quality"):
@@ -70,19 +68,24 @@ class TestSpecValidation:
                 encode_template="enc {input} {output}",
                 decode_template="dec {input} {output}",
                 quality_ladder=(1, 2, 3, 4),
-            ).validate()
+            )
+        with pytest.raises(ValueError, match="ladder"):
+            CodecSpec(
+                codec_id="x",
+                kind=CodecKind.LOSSY,
+                encode_template="enc -q {quality} {input} {output}",
+                decode_template="dec {input} {output}",
+            )
 
-    def test_repeated_ladder_step_is_spec_invalid(self):
-        spec = CodecSpec(
-            codec_id="twice",
-            kind=CodecKind.LOSSY,
-            encode_template="gzip -c {input} > {output} # {quality}",
-            decode_template="gzip -dc {input} > {output}",
-            quality_ladder=(8, 8, 16),
-        )
-        result = probe(spec)
-        assert result.status is ProbeStatus.SPEC_INVALID
-        assert "repeats" in result.detail
+    def test_repeated_ladder_step_is_rejected(self):
+        with pytest.raises(ValueError, match="repeats"):
+            CodecSpec(
+                codec_id="twice",
+                kind=CodecKind.LOSSY,
+                encode_template="gzip -c {input} > {output} # {quality}",
+                decode_template="gzip -dc {input} > {output}",
+                quality_ladder=(8, 8, 16),
+            )
 
     def test_missing_executable_is_unavailable(self):
         spec = CodecSpec(
@@ -164,8 +167,6 @@ class TestSpecFile:
                          "hm-intra", "hm-scc", "vtm-intra", "vtm-scc",
                          "jpeg2000", "tcm"):
             assert codec_id in specs
-        for spec in specs.values():
-            spec.validate()
 
     def test_parse_rejects_unknown_kind(self):
         with pytest.raises(FormatError, match="kind"):
@@ -177,11 +178,20 @@ class TestSpecFile:
             parse_codec_specs("[x]\nio_formt = raw\nencode = a {input} {output}\n"
                               "decode = b {input} {output}\n")
 
-    def test_parse_rejects_a_built_in_codec_id(self):
-        with pytest.raises(FormatError, match=r"\[tlc1\].*built in"):
-            parse_codec_specs("[tlc1]\nkind = lossy\nquality_ladder = 1, 2\n"
-                              "encode = a {quality} {input} {output}\n"
-                              "decode = b {input} {output}\n")
+    @pytest.mark.parametrize("section, message", [
+        ("kind = lossless\nencode = a {output}\ndecode = b {input} {output}\n",
+         r"encode template missing \{input\}"),
+        ("kind = lossy\nencode = a -q {quality} {input} {output}\n"
+         "decode = b {input} {output}\n", "lossy spec needs a quality ladder"),
+        ("kind = lossy\nquality_ladder = 4, 8, 4\nencode = a -q {quality} {input} {output}\n"
+         "decode = b {input} {output}\n", r"quality ladder \(4, 8, 4\) repeats a step"),
+        ("kind = lossless\nencode = a '{input} {output}\ndecode = b {input} {output}\n",
+         "encode template does not parse"),
+    ], ids=["missing-input", "lossy-without-ladder", "repeated-step", "unbalanced-quote"])
+    def test_parse_names_a_malformed_section(self, section, message):
+        with pytest.raises(FormatError, match=rf"\[bad\]: {message}"):
+            parse_codec_specs("[gzip]\nencode = gzip {input} > {output}\n"
+                              "decode = gzip -d {input} > {output}\n[bad]\n" + section)
 
     def test_parse_rejects_a_default_section(self):
         with pytest.raises(FormatError, match=r"\[DEFAULT\]"):
@@ -198,4 +208,3 @@ class TestSpecFile:
         spec = specs[0]
         assert spec.kind is CodecKind.LOSSY
         assert spec.quality_ladder == (1, 2, 3, 4)
-        spec.validate()

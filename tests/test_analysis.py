@@ -221,6 +221,11 @@ class TestTsne:
         with pytest.raises(ValueError, match="perplexity"):
             A.tsne_2d(np.zeros((30, 3)), perplexity=10.5, seed=0)
 
+    @pytest.mark.parametrize("perplexity", [float("nan"), 0.0, -1.0])
+    def test_perplexity_outside_the_open_bound_rejected(self, perplexity):
+        with pytest.raises(ValueError, match="perplexity"):
+            A.tsne_2d(np.random.default_rng(0).random((30, 3)), perplexity=perplexity, seed=0)
+
     def test_all_identical_rows_rejected(self):
         x = np.ones((12, 3))
         with pytest.raises(ValueError, match="identical"):

@@ -439,6 +439,41 @@ def test_suite_whose_every_codec_failed_its_probe_raises_unavailable(suite, spec
         suite(config)
 
 
+def test_codec_table_rejects_a_built_in_codec_id(tmp_path):
+    spec_file = tmp_path / "codecs.spec"
+    spec_file.write_text("[tlc1]\nkind = lossy\nquality_ladder = 1, 2\n"
+                         "encode = a {quality} {input} {output}\n"
+                         "decode = b {input} {output}\n")
+    with pytest.raises(FormatError, match=r"\[tlc1\].*built in"):
+        bench.codec_table(spec_file)
+
+
+@pytest.mark.skipif(not GZIP_AVAILABLE, reason="gzip not installed")
+def test_probe_codecs_and_the_lossless_suite_agree_on_every_status(tmp_path, capsys):
+    corrupting = tmp_path / "corrupting-decoder"
+    corrupting.write_text("#!/bin/sh\ntr '\\000' '\\001' < \"$1\" > \"$2\"\n")
+    corrupting.chmod(0o755)
+    spec_file = tmp_path / "codecs.spec"
+    spec_file.write_text(
+        "[gzip]\nio_format = raw\nencode = gzip -c {input} > {output}\n"
+        "decode = gzip -dc {input} > {output}\n"
+        "[ghost]\nio_format = raw\nencode = no-such-tool-xyz {input} > {output}\n"
+        "decode = no-such-tool-xyz -d {input} > {output}\n"
+        "[corrupt]\nio_format = raw\nencode = cp {input} {output}\n"
+        f"decode = {corrupting} {{input}} {{output}}\n")
+    codecs = ("tlc1", "gzip", "ghost", "corrupt")
+    assert cli.main(["probe-codecs", "--specs", str(spec_file), "--codecs", ",".join(codecs)]) == 0
+    listed = {row.split()[0]: row.split()[2] for row in capsys.readouterr().out.splitlines()[1:]}
+    assert listed == {"tlc1": "available", "gzip": "available", "ghost": "unavailable",
+                      "corrupt": "degraded"}
+    config = bench.BenchConfig(**{**SMALL, "reps": 1, "poses": (GraspPose.PINCH,)},
+                               codecs=codecs, codec_specs_path=str(spec_file))
+    report = bench.run_lossless_suite(config)
+    assert {s.codec_id: s.status.value for s in report.skipped} == {
+        cid: status for cid, status in listed.items() if status != "available"}
+    assert codecs_of(report) == {"tlc1", "gzip"}
+
+
 def test_downstream_codes_every_quality_in_one_pool_call(monkeypatch):
     calls = []
 

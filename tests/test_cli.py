@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from taccompress import cli
+from taccompress import bench, cli
 
 GZIP_AVAILABLE = shutil.which("gzip") is not None
 
@@ -157,6 +157,12 @@ def test_probe_codecs_lists_the_built_in_codecs(capsys):
     assert rows == [["tlc1-lossy", "lossy", "available"], ["tlc1", "lossless", "available"]]
 
 
+def test_probe_codecs_splits_ids_as_run_codecs_does(capsys):
+    assert cli.main(["probe-codecs", "--codecs", "tlc1, tlc1-lossy"]) == 0
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == ["tlc1", "tlc1-lossy"]
+
+
 def test_probe_codecs_with_an_unknown_id_exits_2(capsys):
     assert cli.main(["probe-codecs", "--codecs", "tlc1,nosuch"]) == 2
     captured = capsys.readouterr()
@@ -196,6 +202,57 @@ def test_downstream_codec_outside_the_run_codecs_exits_0(tmp_path):
     assert cli.main(["--config", config, "bench-downstream"]) == 0
     text = (tmp_path / "out" / "downstream_accuracy.csv").read_text()
     assert "\ngzip@64,64," in text
+
+
+def test_malformed_codec_spec_file_exits_2_before_any_trace_is_built(tmp_path, capsys,
+                                                                      monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise AssertionError("a trace was built before the codec spec file was checked")
+
+    monkeypatch.setattr(bench, "iter_corpus", fail)
+    specs = tmp_path / "codecs.spec"
+    specs.write_text("[broken]\nencode = gzip -c > {output}\ndecode = gzip -dc {input} > {output}\n")
+    config = write_config(tmp_path, f"[run]\ncodecs = tlc1\ncodec_specs = {specs}\n")
+    assert cli.main(["--config", config, "bench-lossless"]) == 2
+    assert "[broken]: encode template missing {input}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["convert", "decompress"])
+@pytest.mark.parametrize("rate", ["inf", "nan", "0"])
+def test_non_finite_or_non_positive_trace_rate_exits_2_and_writes_no_file(tmp_path, capsys,
+                                                                          command, rate):
+    assert cli.main(["--out", str(tmp_path), "simulate", "--objects", "egg", "--poses",
+                     "pinch", "--plan", TWO_FRAMES.replace(" ", "")]) == 0
+    trace = str(tmp_path / "egg_pinch_0.mptd")
+    source = tmp_path / ("egg.tlc1" if command == "decompress" else "egg.ppm")
+    assert cli.main(["compress" if command == "decompress" else "convert", trace,
+                     str(source)]) == 0
+    out = tmp_path / "back.mptd"
+    capsys.readouterr()
+    assert cli.main([command, str(source), str(out), "--rate", rate]) == 2
+    assert "sample_rate_hz must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["-5", "nan", "inf"])
+def test_metrics_with_a_bad_rate_exits_2(tmp_path, capsys, rate):
+    assert cli.main(["--out", str(tmp_path), "simulate", "--objects", "egg", "--poses",
+                     "pinch", "--plan", TWELVE_FRAMES.replace(" ", "")]) == 0
+    trace = str(tmp_path / "egg_pinch_0.mptd")
+    capsys.readouterr()
+    assert cli.main(["metrics", trace, trace, "--bits", "100", "--rate", rate]) == 2
+    captured = capsys.readouterr()
+    assert "sample rate must be finite and > 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("perplexity", ["nan", "0", "-1"])
+def test_cluster_with_a_perplexity_outside_its_bound_exits_2(tmp_path, capsys, perplexity):
+    config = downstream_config(tmp_path, "tlc1-lossy")
+    assert cli.main(["--config", config, "cluster", "--perplexity", perplexity]) == 2
+    assert "perplexity" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [["frobnicate"], ["classify"]])

@@ -43,6 +43,11 @@ class TestBpss:
         compressed = M.bandwidth_bits_per_second(100, 1140, 0.0364)
         assert abs(compressed - 12_448.8) < 1e-9
 
+    @pytest.mark.parametrize("rate", [-5.0, 0.0, math.nan, math.inf])
+    def test_bandwidth_rejects_a_rate_that_is_not_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="sample rate"):
+            M.bandwidth_bits_per_second(rate, 1140, 8.0)
+
     def test_zero_sub_samples_rejected(self):
         with pytest.raises(ValueError):
             M.bpss(100, 0)

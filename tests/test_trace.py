@@ -30,6 +30,12 @@ def random_trace(seed, frame_count=7):
     )
 
 
+@pytest.mark.parametrize("rate", [float("inf"), float("nan"), 0.0, -1.0])
+def test_rate_that_is_not_finite_and_positive_rejected(rate):
+    with pytest.raises(ValueError, match="sample_rate_hz must be finite and > 0"):
+        GraspTrace(layout=default_layout(), frames=rest_frames(1), sample_rate_hz=rate)
+
+
 def test_one_frame_payload_is_3420_bytes():
     layout = default_layout()
     trace = GraspTrace(layout=layout, frames=rest_frames(1))
