@@ -141,8 +141,8 @@ class BenchConfig:
             raise ValueError(f"unknown dataset kind {self.dataset_kind!r}")
         if not self.codecs:
             raise ValueError("at least one codec required")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        if not 1 <= self.reps <= 0x10000:  # repetition ids 0..reps-1 fit MPTD's u16
+            raise ValueError(f"reps must be in [1, 65536], not {self.reps}")
         if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise ValueError(f"sample_rate_hz must be finite and > 0, not {self.sample_rate_hz}")
         if self.tile_height < 1:

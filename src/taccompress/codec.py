@@ -18,7 +18,8 @@ decoder recomputes the CRC of its own reconstruction and rejects the blob on
 mismatch.  Rate accounting everywhere in the toolkit counts payload bytes
 only (8 * len(payload) bits).
 
-``write_blob`` writes to a path (replaced atomically) or a binary stream;
+``write_blob`` writes to a path (replaced atomically) or a binary stream,
+and refuses a blob that ``read_blob`` could not read back as itself;
 ``read_blob`` reads bytes, a path or a binary stream.
 """
 
@@ -126,15 +127,44 @@ def decode(blob: CompressedBlob) -> TactileImage:
     raise FormatError(f"unknown codec id {blob.codec_id!r}")
 
 
+def _check_header(mode: int, qp: int, width: int, height: int, channels: int,
+                  length: int) -> None:
+    """The container rules past the field widths, shared by ``read_blob``
+    and ``write_blob``: raises ``FormatError`` (a ``ValueError``)."""
+    if mode == 1 and not QP_MIN <= qp <= QP_MAX:
+        raise FormatError(f"lossy qp {qp} out of range")
+    if length == 0:
+        raise FormatError("zero-length payload")
+    if channels != AXIS_COUNT:
+        raise FormatError(f"TLC1 blobs have {AXIS_COUNT} channels, not {channels}")
+    samples = width * height * channels
+    if not 0 < samples <= rangecoder.max_sample_count(length):
+        raise FormatError(
+            f"{width}x{height} image cannot be coded in a {length}-byte payload"
+        )
+
+
 def write_blob(blob: CompressedBlob, sink) -> int:
-    """Serialize a TLC1 blob to its container; returns bytes written."""
+    """Serialize a TLC1 blob to its container; returns bytes written.  A blob
+    that ``read_blob`` could not read back as itself raises ``ValueError``
+    before anything is written."""
+    if blob.codec_id not in (CODEC_ID_LOSSLESS, CODEC_ID_LOSSY):
+        raise ValueError(f"only TLC1 blobs have a container, not {blob.codec_id!r}")
     mode = 0 if blob.codec_id == CODEC_ID_LOSSLESS else 1
-    qp = 0 if blob.quality is None else blob.quality
-    header = TLC1_MAGIC + struct.pack(
-        "<BBBIIBQ", TLC1_VERSION, mode, qp, blob.width, blob.height,
-        blob.channels, len(blob.payload)
-    )
-    return _files.write(sink, header + blob.payload + struct.pack("<I", blob.checksum))
+    if (blob.quality is None) != (mode == 0):
+        raise ValueError(f"a {CODEC_ID_LOSSY} blob has a quality and a {CODEC_ID_LOSSLESS} "
+                         f"blob none, not {blob.codec_id} with {blob.quality}")
+    qp = 0 if mode == 0 else blob.quality
+    _check_header(mode, qp, blob.width, blob.height, blob.channels, len(blob.payload))
+    try:
+        header = TLC1_MAGIC + struct.pack(
+            "<BBBIIBQ", TLC1_VERSION, mode, qp, blob.width, blob.height,
+            blob.channels, len(blob.payload)
+        )
+        trailer = struct.pack("<I", blob.checksum)
+    except struct.error as exc:
+        raise ValueError(f"blob field does not fit the TLC1 container: {exc}") from None
+    return _files.write(sink, header + blob.payload + trailer)
 
 
 def read_blob(source) -> CompressedBlob:
@@ -150,17 +180,7 @@ def read_blob(source) -> CompressedBlob:
         raise FormatError(f"unsupported TLC1 version {version}")
     if mode not in (0, 1):
         raise FormatError(f"unknown TLC1 mode {mode}")
-    if mode == 1 and not QP_MIN <= qp <= QP_MAX:
-        raise FormatError(f"lossy qp {qp} out of range")
-    if length == 0:
-        raise FormatError("zero-length payload")
-    if channels != AXIS_COUNT:
-        raise FormatError(f"TLC1 blobs have {AXIS_COUNT} channels, not {channels}")
-    samples = width * height * channels
-    if not 0 < samples <= rangecoder.max_sample_count(length):
-        raise FormatError(
-            f"{width}x{height} image cannot be coded in a {length}-byte payload"
-        )
+    _check_header(mode, qp, width, height, channels, length)
     payload = _files.read_exact(source, length, "TLC1 payload")
     (checksum,) = struct.unpack("<I", _files.read_exact(source, 4, "TLC1 checksum"))
     return CompressedBlob(

@@ -39,13 +39,14 @@ a byte.
 
 One function, ``_code``, walks the image for both directions and both
 modes, in plain Python shaped for the interpreter.  It keeps the previous and
-current row of the reconstruction as lists of ints and computes the MED
-prediction and activity once per sample; a per-sample table maps the
-activity straight to the context's probability list.  Then it either encodes
-(one table maps the residual to its dequantized value and the coded value's
-(node, bit) path, which is range-coded at once) or decodes (the context tree
-is walked from the code register).  Each probability update comes from a
-table and the output goes to a ``bytearray``.
+current row of the reconstruction as lists of ints, iterates a row by
+``zip`` over the up row, the up-left row and the per-sample context tables,
+and computes the MED prediction and activity once per sample; a sample's
+table maps the activity straight to the context's probability list.  Then
+it either encodes (one table maps the residual to its dequantized value and
+the coded value's (node, bit) path, which is range-coded at once) or decodes
+(the context tree is walked from the code register).  Each probability
+update comes from a table and the output goes to a ``bytearray``.
 
 Most samples of a tactile image at rest code the value 0, and the walk
 codes those in saturated contexts without the per-bit loop.  The shortcut
@@ -61,6 +62,13 @@ change, so ``MIN_SAMPLE_BITS`` and ``max_sample_count`` still hold:
   written, provided no renormalization falls inside the sample.  The
   chained values fall at every step (``SAT < 32768``), so a final value
   ``r >= RC_TOP`` means every intermediate one was too: none fell inside.
+* The chained range is one lookup, ``_ZERO_CHAIN[mode][range >> 15]``.
+  The first step reads the range only through ``range >> 15`` and every
+  later step reads only the previous result, so the table is exact.  At the
+  shortcut ``RC_TOP <= range <= 2**32 - 1``, so the index lies in
+  ``[2**9, 2**17)``.  Each mode's table has ``2**17`` entries, all below
+  ``2**32``, in a 4-byte ``array``: 512 KiB, 1 MiB for both, built with
+  numpy ``uint32`` arithmetic at import in a few milliseconds.
 * The decoder reads a 0 at a node when ``code`` is below the split point.
   Each split point of the chain is at least the final ``r`` and ``code``
   does not change on a 0, so ``code < r`` means a 0 at every node, whatever
@@ -79,6 +87,7 @@ change, so ``MIN_SAMPLE_BITS`` and ``max_sample_count`` still hold:
 """
 
 import math
+from array import array
 
 import numpy as np
 
@@ -130,6 +139,19 @@ _AFTER1 = [_PROBS[p - (p >> ADAPT_SHIFT)] for p in _PROBS]
 del _PROBS
 
 
+def _zero_chain(levels):
+    """The range after coding a 0 at ``SAT`` once per level, indexed by
+    ``range >> PROB_BITS``: ``levels`` chained ``(r >> 15) * SAT`` steps.
+    Every value fits 32 bits (``(2**17 - 1) * SAT < 2**32``)."""
+    r = np.arange(1 << (32 - PROB_BITS), dtype=np.uint32) * np.uint32(SAT)
+    for _ in range(levels - 1):
+        r = (r >> PROB_BITS) * np.uint32(SAT)
+    return array("I", r.tobytes())
+
+
+_ZERO_CHAIN = {mode: _zero_chain(levels) for mode, levels in _LEVELS.items()}
+
+
 def _shift_low(low, cache, cache_size, out):
     """Shift the top byte out of ``low``, emitting the cached byte and any
     pending 0xFF run once a carry can no longer reach them; returns the new
@@ -158,6 +180,7 @@ def _code(mode, qp, shape, pixels=None, payload=None):
     sample_contexts = [[contexts[c * N_BUCKETS + bucket] for bucket in _BUCKET]
                        for c in range(channels)] * width
     after0, after1 = _AFTER0, _AFTER1
+    chain = _ZERO_CHAIN[mode]
     top = RC_TOP
     sat = SAT
     rng = MASK32
@@ -194,7 +217,8 @@ def _code(mode, qp, shape, pixels=None, payload=None):
         code &= MASK32
 
     recon = bytearray(height * rowlen)
-    prev, first = None, True
+    # row 0 has no up row; its samples predict from the left alone
+    prev, first = [0] * (rowlen + channels), True
     for t in range(height):
         if encoding:
             xs = pixels[t].ravel().tolist()
@@ -206,13 +230,10 @@ def _code(mode, qp, shape, pixels=None, payload=None):
         else:
             # column 0 predicts from above: its left and up-left read the up sample
             cur[:channels] = prev[:channels] = prev[channels:2 * channels]
-        for j in range(rowlen):
+        for j, b, cc, by_act in zip(range(rowlen), prev[channels:], prev, sample_contexts):
             a = cur[j]
             if first:
                 b = cc = a
-            else:
-                b = prev[j + channels]
-                cc = prev[j]
             if cc >= a:
                 if cc >= b:
                     pred = a if a < b else b
@@ -226,16 +247,14 @@ def _code(mode, qp, shape, pixels=None, payload=None):
             else:
                 pred = a + b - cc
                 act = a - b
-            probs = sample_contexts[j][act]
+            probs = by_act[act]
             if encoding:
                 dq, path = quant[xs[j] - pred]
             if path is zero and not probs[0]:
-                # a 0 at every saturated node: the walk's range steps, chained
-                # (15 is PROB_BITS; probabilities, low and code stay as they are)
-                r = ((((((((rng >> 15) * sat >> 15) * sat >> 15) * sat >> 15) * sat
-                     >> 15) * sat >> 15) * sat >> 15) * sat >> 15) * sat
-                if not lossless:
-                    r = (r >> 15) * sat
+                # a 0 at every saturated node: the walk's range steps, chained,
+                # read from the mode's table (15 is PROB_BITS; probabilities,
+                # low and code stay as they are)
+                r = chain[rng >> 15]
                 if code < r >= top:  # no renormalization; a decoder reads only 0 bits
                     rng = r
                     cur[j + channels] = pred

@@ -67,8 +67,8 @@ class GraspTrace:
             )
         if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise ValueError(f"sample_rate_hz must be finite and > 0, not {self.sample_rate_hz}")
-        if self.repetition_id < 0:
-            raise ValueError("repetition_id must be non-negative")
+        if not 0 <= self.repetition_id <= 0xFFFF:  # MPTD stores it as a u16
+            raise ValueError(f"repetition_id must be in [0, 65535], not {self.repetition_id}")
         frames.setflags(write=False)
         object.__setattr__(self, "frames", frames)
 

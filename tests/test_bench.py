@@ -148,7 +148,7 @@ class TestConfig:
         dataset_kind=st.sampled_from(["synthetic", "ingest"]),
         objects=st.lists(st.sampled_from(OBJECT_NAMES), min_size=1, unique=True).map(tuple),
         poses=st.lists(st.sampled_from(GraspPose), unique=True).map(tuple),
-        reps=st.integers(1, 10**6),
+        reps=st.integers(1, 0x10000),
         seed=st.integers(-2**63, 2**64),
         sample_rate_hz=FINITE.filter(lambda v: v > 0),
         plan=st.lists(FINITE.filter(lambda v: v >= 0), min_size=5, max_size=5)

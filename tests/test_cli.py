@@ -84,7 +84,8 @@ def test_compress_qp_0_exits_2_and_writes_no_blob(tmp_path, capsys):
     ("0.01,0.02", "1"),
     ("0.01,0.01,0.01,0.01,0.01,0.01", "1"),
     (TWO_FRAMES.replace(" ", ""), "0"),
-], ids=["two-durations", "six-durations", "zero-reps"])
+    (TWO_FRAMES.replace(" ", ""), "65537"),
+], ids=["two-durations", "six-durations", "zero-reps", "reps-past-u16"])
 def test_bad_simulate_plan_or_reps_exits_2(tmp_path, plan, reps):
     assert cli.main(["--out", str(tmp_path), "simulate", "--objects", "egg", "--poses",
                      "pinch", "--plan", plan, "--reps", reps]) == 2
@@ -232,6 +233,23 @@ def test_non_finite_or_non_positive_trace_rate_exits_2_and_writes_no_file(tmp_pa
     capsys.readouterr()
     assert cli.main([command, str(source), str(out), "--rate", rate]) == 2
     assert "sample_rate_hz must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["convert", "decompress"])
+def test_repetition_past_the_mptd_u16_exits_2_and_writes_no_file(tmp_path, capsys, command):
+    assert cli.main(["--out", str(tmp_path), "simulate", "--objects", "egg", "--poses",
+                     "pinch", "--plan", TWO_FRAMES.replace(" ", "")]) == 0
+    trace = str(tmp_path / "egg_pinch_0.mptd")
+    source = tmp_path / ("egg.tlc1" if command == "decompress" else "egg.ppm")
+    assert cli.main(["compress" if command == "decompress" else "convert", trace,
+                     str(source)]) == 0
+    out = tmp_path / "back.mptd"
+    capsys.readouterr()
+    assert cli.main([command, str(source), str(out), "--rep", "70000"]) == 2
+    err = capsys.readouterr().err
+    assert "repetition_id must be in [0, 65535]" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

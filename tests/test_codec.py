@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taccompress import codec, rangecoder
 from taccompress.errors import CodecIntegrityError, FormatError
@@ -224,6 +226,59 @@ class TestBlobContainer:
         codec.write_blob(codec.encode_lossless(img), sink)
         assert codec.decode_lossless(codec.read_blob(sink.getvalue())) == img
 
+    @pytest.mark.parametrize("codec_id, quality", [("gzip", None), ("gzip", 8), ("", None)])
+    def test_write_rejects_a_codec_id_other_than_tlc1(self, codec_id, quality):
+        blob = dataclasses.replace(codec.encode_lossless(constant_image(4, 4)),
+                                   codec_id=codec_id, quality=quality)
+        sink = io.BytesIO()
+        with pytest.raises(ValueError, match="only TLC1 blobs"):
+            codec.write_blob(blob, sink)
+        assert sink.getvalue() == b""
+
+    @pytest.mark.parametrize("quality", [0, 65, 300, -1, None])
+    def test_write_rejects_a_lossy_quality_outside_the_qp_range(self, quality):
+        blob = dataclasses.replace(codec.encode_lossy(constant_image(4, 4), 8), quality=quality)
+        sink = io.BytesIO()
+        with pytest.raises(ValueError):
+            codec.write_blob(blob, sink)
+        assert sink.getvalue() == b""
+
+    @pytest.mark.parametrize("checksum", [-1, 2**32])
+    def test_write_rejects_a_checksum_outside_u32(self, checksum):
+        blob = dataclasses.replace(codec.encode_lossless(constant_image(4, 4)), checksum=checksum)
+        sink = io.BytesIO()
+        with pytest.raises(ValueError, match="does not fit"):
+            codec.write_blob(blob, sink)
+        assert sink.getvalue() == b""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        # blobs shaped like the codec's own output ...
+        st.builds(
+            lambda lossy, qp, **fields: codec.CompressedBlob(
+                codec.CODEC_ID_LOSSY if lossy else codec.CODEC_ID_LOSSLESS,
+                quality=qp if lossy else None, channels=3, **fields),
+            lossy=st.booleans(), qp=st.integers(codec.QP_MIN, codec.QP_MAX),
+            width=st.integers(1, 40), height=st.integers(1, 40),
+            payload=st.binary(min_size=1, max_size=64), checksum=st.integers(0, 2**32 - 1)),
+        # ... and blobs with any field out of place
+        st.builds(
+            codec.CompressedBlob,
+            codec_id=st.sampled_from([codec.CODEC_ID_LOSSLESS, codec.CODEC_ID_LOSSY, "gzip"]),
+            width=st.integers(1, 2**33), height=st.integers(1, 2**33),
+            channels=st.sampled_from([3, 1, 4, 256]), payload=st.binary(min_size=1, max_size=64),
+            quality=st.none() | st.integers(-1, 300), checksum=st.integers(-1, 2**33)),
+    ))
+    def test_every_blob_write_accepts_reads_back_as_itself(self, blob):
+        sink = io.BytesIO()
+        try:
+            written = codec.write_blob(blob, sink)
+        except ValueError:
+            assert sink.getvalue() == b""
+            return
+        assert written == len(sink.getvalue())
+        assert codec.read_blob(sink.getvalue()) == blob
+
 
 class TestSaturation:
     """The adaptation facts the zero-symbol shortcut in ``rangecoder`` rests on."""
@@ -243,3 +298,16 @@ class TestSaturation:
             p, steps = rangecoder._AFTER0[p], steps + 1
         assert p == rangecoder.SAT
         assert steps == 215
+
+    @pytest.mark.parametrize("mode", [rangecoder.MODE_LOSSLESS, rangecoder.MODE_LOSSY])
+    def test_zero_chain_table_is_the_chained_range_steps(self, mode):
+        # the shortcut reads the table at range >> 15 for any range in
+        # [RC_TOP, 2**32); both ends of each index's range must chain to it
+        table = rangecoder._ZERO_CHAIN[mode]
+        levels, bits, sat = rangecoder._LEVELS[mode], rangecoder.PROB_BITS, rangecoder.SAT
+        assert table.itemsize == 4 and len(table) == 1 << 17
+        for u in range(rangecoder.RC_TOP >> bits, 1 << 17):
+            for rng in (u << bits, (u << bits) | 0x7FFF):
+                for _ in range(levels):
+                    rng = (rng >> bits) * sat
+                assert table[u] == rng

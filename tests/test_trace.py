@@ -36,6 +36,19 @@ def test_rate_that_is_not_finite_and_positive_rejected(rate):
         GraspTrace(layout=default_layout(), frames=rest_frames(1), sample_rate_hz=rate)
 
 
+@pytest.mark.parametrize("rep", [-1, 0x10000])
+def test_repetition_outside_the_u16_rejected(rep):
+    with pytest.raises(ValueError, match=r"repetition_id must be in \[0, 65535\]"):
+        GraspTrace(layout=default_layout(), frames=rest_frames(1), repetition_id=rep)
+
+
+def test_largest_repetition_round_trips():
+    trace = GraspTrace(layout=default_layout(), frames=rest_frames(1), repetition_id=0xFFFF)
+    sink = io.BytesIO()
+    save_trace(trace, sink)
+    assert load_trace(sink.getvalue()) == trace
+
+
 def test_one_frame_payload_is_3420_bytes():
     layout = default_layout()
     trace = GraspTrace(layout=layout, frames=rest_frames(1))
