@@ -11,7 +11,11 @@ Lossless specs are verified: the decoded raster must match the source
 bit-exactly or the run is reported as a codec-integrity failure rather than
 silently counted.
 
-Spec files are INI-style, one section per codec::
+Spec files and ``bench``'s configs share one INI dialect, which
+``ini_sections`` reads: no interpolation, no ``[DEFAULT]`` section, and
+``FormatError`` for text that does not parse.  ``split_list`` and
+``int_list`` read its list values, separated by commas or blanks.  A spec
+file holds one section per codec::
 
     [gzip]
     kind = lossless
@@ -29,10 +33,9 @@ A section takes only the keys in ``SPEC_KEYS``.  Each section must pass
 ``CodecSpec``'s checks: both templates hold ``{input}`` and ``{output}`` and
 parse as shell words, and a lossy section's encode template holds
 ``{quality}`` and it has a quality ladder; no ladder repeats a step.  An
-unknown key, a ``[DEFAULT]`` section (whose keys would apply to every
-codec) or a section that fails those checks raises ``FormatError`` naming
-the section.  (``bench.codec_table`` also rejects a section named after a
-built-in codec.)
+unknown key or a section that fails those checks raises ``FormatError``
+naming the section.  (``bench.codec_table`` also rejects a section named
+after a built-in codec.)
 
 ``TACCOMPRESS_CODEC_PATH`` prepends executable search paths.
 """
@@ -247,20 +250,36 @@ def probe(spec: CodecSpec) -> ProbeResult:
     return ProbeResult(spec.codec_id, ProbeStatus.AVAILABLE)
 
 
-def parse_codec_specs(text: str) -> list[CodecSpec]:
-    """Parse the INI-style codec spec format; see the module docstring."""
+def ini_sections(text: str, what: str) -> dict[str, dict[str, str]]:
+    """Each section of INI ``text``, in file order, as a mapping of its keys
+    to their raw values; text that does not parse, or a ``[DEFAULT]``
+    section, raises ``FormatError`` naming ``what`` the text is."""
     # no default section: a [DEFAULT] header is a section, rejected below
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise FormatError(f"bad codec spec file: {exc}") from exc
+        raise FormatError(f"bad {what}: {exc}") from exc
+    if parser.has_section(configparser.DEFAULTSECT):
+        raise FormatError(f"[{configparser.DEFAULTSECT}]: a {what} has no default section, "
+                          "whose keys would apply to every section")
+    return {section: dict(parser.items(section)) for section in parser.sections()}
+
+
+def split_list(raw: str) -> list[str]:
+    """The items of an INI list value, separated by commas or blanks."""
+    return raw.replace(",", " ").split()
+
+
+def int_list(raw: str) -> tuple[int, ...]:
+    """An INI list of integers, such as a quality ladder."""
+    return tuple(int(item) for item in split_list(raw))
+
+
+def parse_codec_specs(text: str) -> list[CodecSpec]:
+    """Parse the INI-style codec spec format; see the module docstring."""
     specs = []
-    for section in parser.sections():
-        if section == configparser.DEFAULTSECT:
-            raise FormatError(f"[{section}]: a default section would apply its keys "
-                              "to every codec")
-        entries = parser[section]
+    for section, entries in ini_sections(text, "codec spec file").items():
         for key in entries:
             if key not in SPEC_KEYS:
                 raise FormatError(f"[{section}]: unknown key {key!r}")
@@ -273,14 +292,10 @@ def parse_codec_specs(text: str) -> list[CodecSpec]:
             io_format = IOFormat(io_name)
         except ValueError:
             raise FormatError(f"[{section}]: unknown io_format {io_name!r}") from None
-        ladder: tuple[int, ...] = ()
-        if "quality_ladder" in entries:
-            try:
-                ladder = tuple(
-                    int(tok) for tok in entries["quality_ladder"].replace(",", " ").split()
-                )
-            except ValueError:
-                raise FormatError(f"[{section}]: bad quality ladder") from None
+        try:
+            ladder = int_list(entries.get("quality_ladder", ""))
+        except ValueError:
+            raise FormatError(f"[{section}]: bad quality ladder") from None
         try:
             specs.append(CodecSpec(
                 codec_id=section,

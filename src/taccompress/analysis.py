@@ -33,7 +33,6 @@ import numpy as np
 
 from .imaging import TactileImage
 
-DEFAULT_FEATURE_HEIGHT = 64
 KMEANS_MAX_ITER, KMEANS_TOL = 300, 1e-6
 TSNE_EARLY_EXAGGERATION, TSNE_EXAGGERATION_ITERS, TSNE_LEARNING_RATE = 12.0, 250, 200.0
 
@@ -79,7 +78,7 @@ def resample_rows(height: int, target_height: int) -> np.ndarray:
     return np.minimum(idx.astype(np.int64), height - 1)
 
 
-def featurize(image: TactileImage, target_height: int = DEFAULT_FEATURE_HEIGHT) -> np.ndarray:
+def featurize(image: TactileImage, target_height: int) -> np.ndarray:
     """Resample to a fixed height, flatten row-major, scale by 1/255."""
     rows = resample_rows(image.height, target_height)
     return (image.pixels[rows].astype(np.float32) / np.float32(255.0)).reshape(-1)
@@ -141,7 +140,6 @@ class _KNNClassifier:
     def fit(self, rows, labels, seed):
         self.train_rows = rows.astype(np.float64)
         self.train_labels = list(labels)
-        self.classes = sorted(set(labels))
         return self
 
     def predict(self, rows):

@@ -34,10 +34,12 @@ A benchmark run is described by an INI-style config file::
     [output]
     directory = bench-out
 
-Comments go on lines of their own: a ``;`` after a value is part of it.
-Every key is optional, and ``CONFIG_KEYS`` lists them all.  Every emitted
-CSV embeds the fully resolved config and tool versions as
-``#`` comment lines, contains no timestamps, and is written atomically as
+The INI dialect is the codec spec file's, read by ``adapters.ini_sections``,
+``split_list`` and ``int_list`` (``objects`` splits on commas only: its
+names hold blanks).  Comments go on lines of their own: a ``;`` after a
+value is part of it.  Every key is optional, and ``CONFIG_KEYS`` lists them
+all.  Every emitted CSV embeds the fully resolved config and tool versions
+as ``#`` comment lines, contains no timestamps, and is written atomically as
 UTF-8, so identical configs and seeds produce byte-identical reports under
 any locale.
 
@@ -52,7 +54,6 @@ every codec of that kind failed its probe raises ``CodecUnavailableError``
 (exit 3).  An empty corpus raises ``FormatError``.
 """
 
-import configparser
 import csv
 import functools
 import io
@@ -67,8 +68,8 @@ import numpy as np
 
 from . import __version__, _files
 from . import codec as native
-from .adapters import (CodecKind, CodecSpec, ProbeResult, ProbeStatus, load_codec_specs, probe,
-                       run_external)
+from .adapters import (CodecKind, CodecSpec, ProbeResult, ProbeStatus, ini_sections, int_list,
+                       load_codec_specs, probe, run_external, split_list)
 from .analysis import (
     ClassifierKind,
     FeatureMatrix,
@@ -92,7 +93,8 @@ from .metrics import (
     format_metric,
     ms_ssim,
 )
-from .simulate import OBJECT_NAMES, PhasePlan, _stable_seed, default_profiles, generate_trace
+from .simulate import (MAX_FRAMES, OBJECT_NAMES, PhasePlan, default_profiles, generate_trace,
+                       stable_seed)
 from .trace import GraspTrace, load_trace
 
 DEFAULT_LADDER = (2, 4, 8, 16, 32, 64)
@@ -153,6 +155,7 @@ class BenchConfig:
             unknown = [o for o in self.objects if o not in OBJECT_NAMES]
             if unknown:
                 raise ValueError(f"unknown objects {unknown}; known: {', '.join(OBJECT_NAMES)}")
+            self.plan.frame_count(self.sample_rate_hz)  # raises past the frame budget
         ladders = [*self.quality_ladders.items(), ("downstream", self.downstream_qualities)]
         for name, steps in ladders:
             if len(set(steps)) != len(steps):
@@ -160,12 +163,11 @@ class BenchConfig:
         qps = list(self.quality_ladders.get(native.CODEC_ID_LOSSY, ()))
         if self.downstream_codec == native.CODEC_ID_LOSSY:
             qps += self.downstream_qualities
-        bad = [qp for qp in qps if not native.QP_MIN <= qp <= native.QP_MAX]
-        if bad:
-            raise ValueError(f"{native.CODEC_ID_LOSSY} qualities {bad} outside "
-                             f"{native.QP_MIN}..{native.QP_MAX}")
-        if self.feature_height < 1:
-            raise ValueError("feature_height must be >= 1")
+        for qp in qps:
+            native.mode_and_qp(native.CODEC_ID_LOSSY, qp)  # raises outside the qp range
+        if not 1 <= self.feature_height <= MAX_FRAMES:
+            raise ValueError(f"feature_height must be in [1, {MAX_FRAMES}], "
+                             f"not {self.feature_height}")
         if not 0 < self.train_fraction < 1:
             raise ValueError(f"train_fraction must lie in (0, 1), not {self.train_fraction}")
 
@@ -192,16 +194,8 @@ class BenchConfig:
         return items
 
 
-def _split_list(raw: str) -> list[str]:
-    return raw.replace(",", " ").split()
-
-
-def _ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in _split_list(raw))
-
-
 def _plan(raw: str) -> PhasePlan:
-    durations = [float(t) for t in _split_list(raw)]
+    durations = [float(t) for t in split_list(raw)]
     if len(durations) != 5:
         raise ValueError("needs exactly 5 durations")
     return PhasePlan(*durations)
@@ -209,7 +203,7 @@ def _plan(raw: str) -> PhasePlan:
 
 def _bd_pairs(raw: str) -> tuple[tuple[str, str], ...]:
     pairs = []
-    for tok in _split_list(raw):
+    for tok in split_list(raw):
         ref, sep, test = tok.partition(":")
         if not sep:
             raise ValueError(f"bd pair {tok!r} must look like ref:test")
@@ -238,25 +232,25 @@ CONFIG_KEYS = (
     ("dataset.objects", "objects",
      lambda raw: tuple(t.strip() for t in raw.split(",") if t.strip()), ",".join),
     ("dataset.poses", "poses",
-     lambda raw: tuple(GraspPose[t.upper()] for t in _split_list(raw)),
+     lambda raw: tuple(GraspPose[t.upper()] for t in split_list(raw)),
      lambda poses: ",".join(p.name.lower() for p in poses)),
     ("dataset.reps", "reps", int, str),
     ("dataset.seed", "seed", int, str),
     ("dataset.sample_rate_hz", "sample_rate_hz", float, _float_text),
     ("dataset.plan_s", "plan", _plan, lambda plan: ",".join(map(_float_text, plan.durations))),
     ("dataset.directory", "ingest_directory", str, str),
-    ("run.codecs", "codecs", lambda raw: tuple(_split_list(raw)), ",".join),
+    ("run.codecs", "codecs", lambda raw: tuple(split_list(raw)), ",".join),
     ("run.tile_height", "tile_height", int, str),
     ("run.jobs", "jobs", int, None),
     ("run.codec_specs", "codec_specs_path", str, str),
     ("run.bd_pairs", "bd_pairs", _bd_pairs,
      lambda pairs: ",".join(f"{a}:{b}" for a, b in pairs)),
-    (_LADDER_KEY, "quality_ladders", _ints, _joined),
+    (_LADDER_KEY, "quality_ladders", int_list, _joined),
     ("downstream.classifiers", "classifiers",
-     lambda raw: tuple(ClassifierKind(t.lower()) for t in _split_list(raw)),
+     lambda raw: tuple(ClassifierKind(t.lower()) for t in split_list(raw)),
      lambda kinds: ",".join(k.value for k in kinds)),
     ("downstream.codec", "downstream_codec", str, str),
-    ("downstream.qualities", "downstream_qualities", _ints, _joined),
+    ("downstream.qualities", "downstream_qualities", int_list, _joined),
     ("downstream.feature_height", "feature_height", int, str),
     ("downstream.train_fraction", "train_fraction", float, _float_text),
     ("downstream.split_seed", "split_seed", int, str),
@@ -278,17 +272,11 @@ def parse_config(text: str) -> BenchConfig:
     """Parse an INI config (see the module docstring) against ``CONFIG_KEYS``.
     Keys left out keep their ``BenchConfig`` defaults; an unknown section or
     key, an unparsable value or a rejected config raises ``FormatError``."""
-    # no default section: a [DEFAULT] header is checked like any other
-    parser = configparser.ConfigParser(interpolation=None, default_section="")
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise FormatError(f"bad config: {exc}") from exc
     items = []
-    for section in parser.sections():
+    for section, entries in ini_sections(text, "config").items():
         if section not in _SECTIONS:
             raise FormatError(f"unknown config section {section!r}")
-        items += [(f"{section}.{key}", raw) for key, raw in parser.items(section)]
+        items += [(f"{section}.{key}", raw) for key, raw in entries.items()]
     return config_from_items(items)
 
 
@@ -331,7 +319,7 @@ def iter_corpus(config: BenchConfig) -> Iterator[GraspTrace]:
     for obj, pose, rep in itertools.product(config.objects, config.poses, range(config.reps)):
         yield generate_trace(profiles[obj], pose, config.plan,
                              sample_rate_hz=config.sample_rate_hz,
-                             seed=_stable_seed("trace", str(config.seed), obj, pose.name, str(rep)),
+                             seed=stable_seed("trace", str(config.seed), obj, pose.name, str(rep)),
                              repetition_id=rep)
 
 
@@ -728,7 +716,7 @@ def run_downstream_suite(config: BenchConfig, corpus=None) -> BenchReport:
     return BenchReport(header=_report_header(config), accuracy_rows=rows)
 
 
-def _write_csv(path: Path, header_lines: list[str], columns: list[str], rows) -> Path:
+def write_csv(path: Path, header_lines: list[str], columns: list[str], rows) -> Path:
     """Write a report CSV as UTF-8: ``#`` header lines, then the column row
     and ``rows``.  Creates the report directory."""
     buf = io.StringIO()
@@ -759,7 +747,7 @@ def write_lossless_report(report: BenchReport, out_dir) -> list[Path]:
          format_metric(c["bpss"]), format_metric(c["cr"])]
         for c in report.cells
     ]
-    cells_path = _write_csv(out / "lossless_cells.csv", header,
+    cells_path = write_csv(out / "lossless_cells.csv", header,
                             ["object", "pose", "codec", "traces", "bits", "bpss", "cr"],
                             cell_rows)
 
@@ -777,7 +765,7 @@ def write_lossless_report(report: BenchReport, out_dir) -> list[Path]:
     table_rows.append(["average", "bpss"] + [format_metric(v) for v in average])
     table_rows.append(["average", "cr"] + [format_metric(compression_ratio(v)) for v in average])
     return [cells_path,
-            _write_csv(out / "lossless_table.csv", header, ["kind", "name"] + codecs, table_rows)]
+            write_csv(out / "lossless_table.csv", header, ["kind", "name"] + codecs, table_rows)]
 
 
 def write_lossy_report(report: BenchReport, out_dir) -> list[Path]:
@@ -789,7 +777,7 @@ def write_lossy_report(report: BenchReport, out_dir) -> list[Path]:
          format_metric(c["psnr"]), format_metric(c["msssim"])]
         for c in report.cells
     ]
-    paths = [_write_csv(out / "rd_points.csv", header,
+    paths = [write_csv(out / "rd_points.csv", header,
                         ["codec", "quality", "bpss", "cr", "psnr_db", "ms_ssim"], point_rows)]
 
     for cid, curve in sorted(report.rd_curves.items()):
@@ -797,7 +785,7 @@ def write_lossy_report(report: BenchReport, out_dir) -> list[Path]:
             [format_metric(pt.bpss), format_metric(pt.psnr_db), format_metric(pt.ms_ssim)]
             for pt in curve.points
         ]
-        paths.append(_write_csv(out / f"rd_curve_{cid}.csv", header,
+        paths.append(write_csv(out / f"rd_curve_{cid}.csv", header,
                                 ["bpss", "psnr_db", "ms_ssim"], rows))
 
     if report.bd_rows:
@@ -807,7 +795,7 @@ def write_lossy_report(report: BenchReport, out_dir) -> list[Path]:
              r["context"], r.get("note", "")]
             for r in report.bd_rows
         ]
-        paths.append(_write_csv(
+        paths.append(write_csv(
             out / "bdrate.csv", header,
             ["reference", "test", "metric", "bd_rate_percent", "context", "note"], rows))
     return paths
@@ -824,5 +812,5 @@ def write_downstream_report(report: BenchReport, out_dir) -> list[Path]:
         + [format_metric(r[c]) for c in classifier_cols]
         for r in report.accuracy_rows
     ]
-    return [_write_csv(out / "downstream_accuracy.csv", header,
+    return [write_csv(out / "downstream_accuracy.csv", header,
                        ["source", "quality", "bpss"] + classifier_cols, rows)]

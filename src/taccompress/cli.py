@@ -15,15 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _files, bench
-from .adapters import CodecKind
+from .adapters import split_list
 from .analysis import adjusted_rand_index, featurize, kmeans, tsne_2d
-from .codec import (
-    decode,
-    encode_lossless,
-    encode_lossy,
-    read_blob,
-    write_blob,
-)
+from .codec import CODEC_ID_LOSSY, decode, encode_lossless, encode_lossy, read_blob, write_blob
 from .errors import CodecError, FormatError
 from .imaging import image_to_trace, read_ppm, trace_to_image, write_ppm
 from .layout import GraspPose, default_layout
@@ -180,7 +174,7 @@ def _cmd_bdrate(args):
 
 def _cmd_probe_codecs(args):
     table = bench.codec_table(args.specs)
-    results = bench.probe_codecs(table, bench._split_list(args.codecs or "") or list(table))
+    results = bench.probe_codecs(table, split_list(args.codecs or "") or list(table))
     print(f"{'codec':14s} {'kind':9s} {'status':12s} detail")
     for cid, result in results.items():
         print(f"{cid:14s} {table[cid].kind.value:9s} {result.status.value:12s} {result.detail}")
@@ -205,9 +199,7 @@ def _cmd_bench(args):
     config = _bench_config(args)
     if args.command == "bench-lossy" and args.config is None:
         # the default codecs are lossless: use TLC1's lossy one
-        lossy = tuple(cid for cid, entry in bench.TLC1_CODECS.items()
-                      if entry.kind is CodecKind.LOSSY)
-        config = dataclasses.replace(config, codecs=lossy)
+        config = dataclasses.replace(config, codecs=(CODEC_ID_LOSSY,))
     run, write = _BENCH_SUITES[args.command]
     for path in write(run(config), config.output_directory):
         print(path)
@@ -230,7 +222,7 @@ def _cmd_cluster(args):
          format_metric(float(embedding[i, 1])), int(result.assignments[i])]
         for i in range(len(labels))
     ]
-    out = bench._write_csv(
+    out = bench.write_csv(
         Path(config.output_directory) / "cluster_embedding.csv",
         [f"tool = taccompress {__version__}", f"k = {k}",
          f"adjusted_rand_index = {format_metric(ari)}"],

@@ -18,6 +18,15 @@ decoder recomputes the CRC of its own reconstruction and rejects the blob on
 mismatch.  Rate accounting everywhere in the toolkit counts payload bytes
 only (8 * len(payload) bits).
 
+A blob's codec id is ``CODEC_IDS[mode]``, and its mode is the range coder's::
+
+    codec id     mode  qp      blob quality
+    tlc1         0     0       None
+    tlc1-lossy   1     1..64   the qp
+
+``mode_and_qp`` is the one check of this table; the encoders, ``decode``
+(the one decoder), ``write_blob`` and ``read_blob`` all call it.
+
 ``write_blob`` writes to a path (replaced atomically) or a binary stream,
 and refuses a blob that ``read_blob`` could not read back as itself;
 ``read_blob`` reads bytes, a path or a binary stream.
@@ -36,6 +45,7 @@ TLC1_MAGIC = b"TLC1"
 TLC1_VERSION = 1
 CODEC_ID_LOSSLESS = "tlc1"
 CODEC_ID_LOSSY = "tlc1-lossy"
+CODEC_IDS = (CODEC_ID_LOSSLESS, CODEC_ID_LOSSY)
 QP_MIN = 1
 QP_MAX = 64
 
@@ -67,36 +77,45 @@ class CompressedBlob:
         return self.width * self.height * self.channels
 
 
-def _encode(image: TactileImage, mode: int, qp: int) -> CompressedBlob:
-    payload, recon = rangecoder.encode_image(image.pixels, mode, qp)
-    lossy = mode == rangecoder.MODE_LOSSY
-    return CompressedBlob(
-        codec_id=CODEC_ID_LOSSY if lossy else CODEC_ID_LOSSLESS,
-        width=image.width,
-        height=image.height,
-        channels=image.channels,
-        payload=payload,
-        quality=qp if lossy else None,
-        checksum=zlib.crc32(recon.tobytes()),
-    )
+def mode_and_qp(codec_id: str, quality: int | None) -> tuple[int, int]:
+    """The container mode and qp of a TLC1 blob with ``codec_id`` and
+    ``quality``: ``(0, 0)`` for a ``tlc1`` blob, which has no quality, and
+    ``(1, quality)`` for a ``tlc1-lossy`` one, whose quality lies in
+    ``QP_MIN..QP_MAX``.  Anything else raises ``FormatError``."""
+    if codec_id not in CODEC_IDS:
+        raise FormatError(f"only TLC1 blobs have a TLC1 container and decoder, "
+                          f"not {codec_id!r}")
+    mode = CODEC_IDS.index(codec_id)
+    if (quality is None) != (mode == rangecoder.MODE_LOSSLESS):
+        raise FormatError(f"a {CODEC_ID_LOSSY} blob has a quality and a {CODEC_ID_LOSSLESS} "
+                          f"blob none, not {codec_id} with {quality}")
+    if mode == rangecoder.MODE_LOSSY and not QP_MIN <= quality <= QP_MAX:
+        raise FormatError(f"qp must be in [{QP_MIN}, {QP_MAX}], got {quality}")
+    return mode, quality or 0
+
+
+def _encode(image: TactileImage, codec_id: str, quality: int | None) -> CompressedBlob:
+    payload, recon = rangecoder.encode_image(image.pixels, *mode_and_qp(codec_id, quality))
+    return CompressedBlob(codec_id=codec_id, width=image.width, height=image.height,
+                          channels=image.channels, payload=payload, quality=quality,
+                          checksum=zlib.crc32(recon.tobytes()))
 
 
 def encode_lossless(image: TactileImage) -> CompressedBlob:
     """Losslessly compress an image; decoding reproduces it bit-exactly."""
-    return _encode(image, rangecoder.MODE_LOSSLESS, 1)
+    return _encode(image, CODEC_ID_LOSSLESS, None)
 
 
 def encode_lossy(image: TactileImage, qp: int) -> CompressedBlob:
     """DPCM + dead-zone quantization; qp=1 degenerates to bit-exact."""
-    if not QP_MIN <= qp <= QP_MAX:
-        raise ValueError(f"qp must be in [{QP_MIN}, {QP_MAX}], got {qp}")
-    return _encode(image, rangecoder.MODE_LOSSY, qp)
+    return _encode(image, CODEC_ID_LOSSY, qp)
 
 
-def _decode(blob: CompressedBlob, mode: int, qp: int) -> TactileImage:
-    recon = rangecoder.decode_image(
-        blob.payload, blob.height, blob.width, blob.channels, mode, qp
-    )
+def decode(blob: CompressedBlob) -> TactileImage:
+    """Decode a TLC1 blob of either mode; a reconstruction that fails the
+    checksum raises ``CodecIntegrityError``."""
+    recon = rangecoder.decode_image(blob.payload, blob.height, blob.width, blob.channels,
+                                    *mode_and_qp(blob.codec_id, blob.quality))
     if zlib.crc32(recon.tobytes()) != blob.checksum:
         raise CodecIntegrityError(
             f"{blob.codec_id}: reconstruction checksum mismatch (corrupt payload?)"
@@ -107,32 +126,18 @@ def _decode(blob: CompressedBlob, mode: int, qp: int) -> TactileImage:
 def decode_lossless(blob: CompressedBlob) -> TactileImage:
     if blob.codec_id != CODEC_ID_LOSSLESS:
         raise FormatError(f"not a {CODEC_ID_LOSSLESS} blob: {blob.codec_id}")
-    return _decode(blob, rangecoder.MODE_LOSSLESS, 1)
+    return decode(blob)
 
 
 def decode_lossy(blob: CompressedBlob) -> TactileImage:
     if blob.codec_id != CODEC_ID_LOSSY:
         raise FormatError(f"not a {CODEC_ID_LOSSY} blob: {blob.codec_id}")
-    if blob.quality is None or not QP_MIN <= blob.quality <= QP_MAX:
-        raise FormatError(f"lossy blob with invalid qp {blob.quality}")
-    return _decode(blob, rangecoder.MODE_LOSSY, blob.quality)
+    return decode(blob)
 
 
-def decode(blob: CompressedBlob) -> TactileImage:
-    """Decode either TLC1 mode based on the blob's codec id."""
-    if blob.codec_id == CODEC_ID_LOSSLESS:
-        return decode_lossless(blob)
-    if blob.codec_id == CODEC_ID_LOSSY:
-        return decode_lossy(blob)
-    raise FormatError(f"unknown codec id {blob.codec_id!r}")
-
-
-def _check_header(mode: int, qp: int, width: int, height: int, channels: int,
-                  length: int) -> None:
-    """The container rules past the field widths, shared by ``read_blob``
-    and ``write_blob``: raises ``FormatError`` (a ``ValueError``)."""
-    if mode == 1 and not QP_MIN <= qp <= QP_MAX:
-        raise FormatError(f"lossy qp {qp} out of range")
+def _check_header(width: int, height: int, channels: int, length: int) -> None:
+    """The container rules past ``mode_and_qp`` and the field widths, shared
+    by ``read_blob`` and ``write_blob``: raises ``FormatError``."""
     if length == 0:
         raise FormatError("zero-length payload")
     if channels != AXIS_COUNT:
@@ -148,14 +153,8 @@ def write_blob(blob: CompressedBlob, sink) -> int:
     """Serialize a TLC1 blob to its container; returns bytes written.  A blob
     that ``read_blob`` could not read back as itself raises ``ValueError``
     before anything is written."""
-    if blob.codec_id not in (CODEC_ID_LOSSLESS, CODEC_ID_LOSSY):
-        raise ValueError(f"only TLC1 blobs have a container, not {blob.codec_id!r}")
-    mode = 0 if blob.codec_id == CODEC_ID_LOSSLESS else 1
-    if (blob.quality is None) != (mode == 0):
-        raise ValueError(f"a {CODEC_ID_LOSSY} blob has a quality and a {CODEC_ID_LOSSLESS} "
-                         f"blob none, not {blob.codec_id} with {blob.quality}")
-    qp = 0 if mode == 0 else blob.quality
-    _check_header(mode, qp, blob.width, blob.height, blob.channels, len(blob.payload))
+    mode, qp = mode_and_qp(blob.codec_id, blob.quality)
+    _check_header(blob.width, blob.height, blob.channels, len(blob.payload))
     try:
         header = TLC1_MAGIC + struct.pack(
             "<BBBIIBQ", TLC1_VERSION, mode, qp, blob.width, blob.height,
@@ -178,17 +177,12 @@ def read_blob(source) -> CompressedBlob:
     )
     if version != TLC1_VERSION:
         raise FormatError(f"unsupported TLC1 version {version}")
-    if mode not in (0, 1):
+    if mode >= len(CODEC_IDS):
         raise FormatError(f"unknown TLC1 mode {mode}")
-    _check_header(mode, qp, width, height, channels, length)
+    codec_id, quality = CODEC_IDS[mode], qp or None  # qp 0: no quality
+    mode_and_qp(codec_id, quality)  # raises for a qp the mode does not take
+    _check_header(width, height, channels, length)
     payload = _files.read_exact(source, length, "TLC1 payload")
     (checksum,) = struct.unpack("<I", _files.read_exact(source, 4, "TLC1 checksum"))
-    return CompressedBlob(
-        codec_id=CODEC_ID_LOSSLESS if mode == 0 else CODEC_ID_LOSSY,
-        width=width,
-        height=height,
-        channels=channels,
-        payload=payload,
-        quality=None if mode == 0 else qp,
-        checksum=checksum,
-    )
+    return CompressedBlob(codec_id=codec_id, width=width, height=height, channels=channels,
+                          payload=payload, quality=quality, checksum=checksum)

@@ -20,7 +20,7 @@ from taccompress.errors import CodecIntegrityError, CodecUnavailableError, Forma
 from taccompress.imaging import TactileImage, tile_ranges, trace_to_image
 from taccompress.layout import GraspPose
 from taccompress.metrics import MSSSIM_WINDOW, ms_ssim
-from taccompress.simulate import OBJECT_NAMES, PhasePlan
+from taccompress.simulate import MAX_FRAMES, OBJECT_NAMES, PhasePlan
 from taccompress.trace import save_trace
 
 GZIP_AVAILABLE = shutil.which("gzip") is not None
@@ -57,6 +57,11 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 CODEC_IDS = st.sampled_from(["tlc1", "tlc1-lossy", "gzip", "hm-scc", "vtm-intra"])
 PATHS = st.text("abc/._-0123456789", max_size=12)
 QUALITIES = st.lists(st.integers(codec.QP_MIN, codec.QP_MAX), max_size=6, unique=True).map(tuple)
+PLANS = (st.lists(FINITE.filter(lambda v: v >= 0), min_size=5, max_size=5)
+         .filter(lambda d: 0 < sum(d) < math.inf).map(lambda d: PhasePlan(*d)))
+# a plan and a rate whose trace stays inside the frame budget
+PLANS_AND_RATES = PLANS.flatmap(lambda plan: st.tuples(st.just(plan), st.floats(
+    0, MAX_FRAMES / plan.total_s, exclude_min=True, allow_infinity=False)))
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +130,31 @@ class TestConfig:
         with pytest.raises(FormatError):
             bench.parse_config(text)
 
+    @pytest.mark.parametrize("text", [
+        "[dataset]\nsample_rate_hz = 1e7\n",
+        "[dataset]\nsample_rate_hz = 1e308\nplan_s = 1e10, 0, 0, 0, 0\n",
+        f"[dataset]\nsample_rate_hz = {MAX_FRAMES + 1}\nplan_s = 1, 0, 0, 0, 0\n",
+        f"[downstream]\nfeature_height = {MAX_FRAMES + 1}\n",
+    ], ids=["default-plan-at-10-mhz", "infinite-frames", "one-past-the-budget",
+            "feature-height"])
+    def test_more_frames_than_the_budget_rejected(self, text):
+        with pytest.raises(FormatError, match=str(MAX_FRAMES)):
+            bench.parse_config(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[DEFAULT]\nreps = 2\n", r"\[DEFAULT\]: a config has no default section"),
+        ("[run]\nquality_ladder.tlc1-lossy = 2, 300\n", r"qp must be in \[1, 64\], got 300"),
+    ], ids=["default-section", "lossy-qp"])
+    def test_config_rules_shared_with_other_parsers_give_their_message(self, text, message):
+        with pytest.raises(FormatError, match=message):
+            bench.parse_config(text)
+
+    def test_the_frame_budget_binds_only_a_synthetic_corpus(self):
+        plan = PhasePlan(1, 0, 0, 0, 0)
+        assert bench.BenchConfig(sample_rate_hz=MAX_FRAMES, plan=plan).plan == plan
+        ingest = bench.BenchConfig(dataset_kind="ingest", sample_rate_hz=1e7)
+        assert ingest.sample_rate_hz == 1e7
+
     def test_requires_a_codec(self):
         with pytest.raises(ValueError):
             bench.BenchConfig(codecs=())
@@ -144,15 +174,14 @@ class TestConfig:
 
     @settings(max_examples=150, deadline=None)
     @given(st.builds(
-        bench.BenchConfig,
+        lambda plan_and_rate, **fields: bench.BenchConfig(
+            plan=plan_and_rate[0], sample_rate_hz=plan_and_rate[1], **fields),
+        plan_and_rate=PLANS_AND_RATES,
         dataset_kind=st.sampled_from(["synthetic", "ingest"]),
         objects=st.lists(st.sampled_from(OBJECT_NAMES), min_size=1, unique=True).map(tuple),
         poses=st.lists(st.sampled_from(GraspPose), unique=True).map(tuple),
         reps=st.integers(1, 0x10000),
         seed=st.integers(-2**63, 2**64),
-        sample_rate_hz=FINITE.filter(lambda v: v > 0),
-        plan=st.lists(FINITE.filter(lambda v: v >= 0), min_size=5, max_size=5)
-        .filter(lambda d: 0 < sum(d) < math.inf).map(lambda d: PhasePlan(*d)),
         ingest_directory=PATHS,
         codecs=st.lists(CODEC_IDS, min_size=1, max_size=4).map(tuple),
         tile_height=st.integers(1, 10**6),
@@ -163,7 +192,7 @@ class TestConfig:
         classifiers=st.lists(st.sampled_from(ClassifierKind), max_size=4).map(tuple),
         downstream_codec=CODEC_IDS,
         downstream_qualities=QUALITIES,
-        feature_height=st.integers(1, 10**6),
+        feature_height=st.integers(1, MAX_FRAMES),
         train_fraction=st.floats(0, 1, exclude_min=True, exclude_max=True),
         split_seed=st.integers(-2**63, 2**64),
         output_directory=PATHS,

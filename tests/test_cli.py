@@ -1,6 +1,10 @@
 """The CLI's exit-code contract: 0 success, 1 usage, 2 data, 3 codec error."""
 
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +254,40 @@ def test_repetition_past_the_mptd_u16_exits_2_and_writes_no_file(tmp_path, capsy
     err = capsys.readouterr().err
     assert "repetition_id must be in [0, 65535]" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+# A child CLI process gets this much address space, so that an allocation the
+# frame budget should have refused fails in the child, not on the machine.
+ADDRESS_SPACE = 1 << 30
+CAPPED_CLI = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE}, {ADDRESS_SPACE}))
+from taccompress import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--objects", "egg", "--poses", "pinch", "--rate", "1e7"],
+    ["simulate", "--objects", "egg", "--poses", "pinch", "--rate", "1e308",
+     "--plan", "1e10,0,0,0,0"],
+    ["bench-downstream"],
+], ids=["default-plan-at-10-mhz", "infinite-frames", "feature-height-1e9"])
+def test_more_frames_than_the_budget_exits_2_before_allocating(tmp_path, argv):
+    config = write_config(tmp_path, "[run]\ncodecs = tlc1\n[downstream]\nclassifiers = knn\n"
+                          "qualities = 64\nfeature_height = 1000000000\n",
+                          reps=2, plan=TWO_FRAMES)
+    out = tmp_path / "out"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", CAPPED_CLI, "--config", config,
+                           "--out", str(out), *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
     assert not out.exists()
 
 

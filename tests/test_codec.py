@@ -30,6 +30,10 @@ def random_image(seed, height=64, width=64):
     return TactileImage(rng.integers(0, 256, (height, width, 3), dtype=np.uint8))
 
 
+CODED_TILES = {False: codec.encode_lossless(random_image(0, 4, 6)),
+               True: codec.encode_lossy(random_image(0, 4, 6), 8)}
+
+
 def bpss_of(blob):
     return blob.payload_bits / blob.sub_samples
 
@@ -219,6 +223,18 @@ class TestBlobContainer:
         with pytest.raises(FormatError, match="cannot be coded"):
             codec.read_blob(data)
 
+    @pytest.mark.parametrize("mode, qp, message", [
+        (0, 8, "tlc1 with 8"), (1, 0, "tlc1-lossy with None"), (1, 65, "got 65"),
+        (2, 8, "unknown TLC1 mode"),
+    ], ids=["lossless-with-a-qp", "lossy-without-one", "lossy-past-64", "unknown-mode"])
+    def test_read_rejects_a_mode_and_qp_that_write_refuses(self, mode, qp, message):
+        sink = io.BytesIO()
+        codec.write_blob(codec.encode_lossless(constant_image(4, 4)), sink)
+        data = bytearray(sink.getvalue())
+        data[5:7] = bytes([mode, qp])  # after magic(4) and version(1)
+        with pytest.raises(FormatError, match=message):
+            codec.read_blob(bytes(data))
+
     def test_cheapest_tile_round_trips_through_the_container(self):
         # a constant 256x1140 tile codes the most samples per payload byte
         img = constant_image()
@@ -278,6 +294,29 @@ class TestBlobContainer:
             return
         assert written == len(sink.getvalue())
         assert codec.read_blob(sink.getvalue()) == blob
+
+    @settings(max_examples=60, deadline=None)
+    @given(lossy=st.booleans(),
+           codec_id=st.sampled_from([codec.CODEC_ID_LOSSLESS, codec.CODEC_ID_LOSSY, "gzip"]),
+           quality=st.sampled_from([None, 0, 1, 8, 64, 65, -1]))
+    def test_decode_and_write_blob_accept_the_same_blobs(self, lossy, codec_id, quality):
+        # a real tile, relabelled: decoding it may then fail its checksum,
+        # but it is a FormatError exactly when the container refuses it
+        blob = dataclasses.replace(CODED_TILES[lossy], codec_id=codec_id, quality=quality)
+        sink = io.BytesIO()
+        try:
+            codec.write_blob(blob, sink)
+            written = True
+        except ValueError:
+            written = False
+        try:
+            codec.decode(blob)
+            decoded = True
+        except FormatError:
+            decoded = False
+        except CodecIntegrityError:
+            decoded = True
+        assert decoded == written
 
 
 class TestSaturation:

@@ -3,6 +3,7 @@ import pytest
 
 from taccompress.layout import GraspPose, default_layout
 from taccompress.simulate import (
+    MAX_FRAMES,
     OBJECT_NAMES,
     PhasePlan,
     default_profiles,
@@ -30,6 +31,23 @@ def test_default_plan_frame_count_at_100hz():
     per_phase = [b - a for a, b in zip([0] + bounds, bounds)]
     assert sum(per_phase) == 2900
     assert per_phase == [1000, 200, 100, 1500, 100]
+
+
+@pytest.mark.parametrize("rate", [0.01, 1.0, 100.0, 1 / 3, MAX_FRAMES / 29])
+def test_frame_count_is_the_last_boundary(rate):
+    assert PhasePlan().frame_count(rate) == PhasePlan().frame_boundaries(rate)[-1]
+
+
+@pytest.mark.parametrize("plan, rate", [
+    (PhasePlan(), 1e7),
+    (PhasePlan(1e10, 0, 0, 0, 0), 1e308),
+    (PhasePlan(1, 0, 0, 0, 0), MAX_FRAMES + 1),
+], ids=["default-plan-at-10-mhz", "infinite-frames", "one-past-the-budget"])
+def test_more_frames_than_the_budget_rejected_before_generation(plan, rate):
+    with pytest.raises(ValueError, match=str(MAX_FRAMES)):
+        plan.frame_count(rate)
+    with pytest.raises(ValueError, match=str(MAX_FRAMES)):
+        generate_trace(make_profile("egg"), GraspPose.PINCH, plan, sample_rate_hz=rate)
 
 
 def test_plan_rejects_negative_and_empty():
